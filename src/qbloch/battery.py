@@ -15,14 +15,13 @@ files; generation is a pure function of the seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 import numpy as np
 
+from .io import write_json_atomic
 from .qterm import LinForm, QTerm, QuadForm
 from .solver import SolverConfig, solve_variational
 
@@ -81,20 +80,6 @@ def make_battery(count: int = BATTERY_COUNT, seed: int = BATTERY_SEED):
     return out
 
 
-def _write_atomic(path, obj):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, indent=1, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="emit the seeded term battery")
     ap.add_argument("--out", default="terms/battery", help="output directory")
@@ -103,7 +88,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     for i, t in enumerate(make_battery(args.count, args.seed)):
-        _write_atomic(os.path.join(args.out, f"term_{i:02d}.json"), t.to_json_obj())
+        write_json_atomic(os.path.join(args.out, f"term_{i:02d}.json"), t.to_json_obj())
     print(f"wrote {args.count} terms to {args.out}")
     return 0
 

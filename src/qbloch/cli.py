@@ -15,7 +15,7 @@ violation) with a machine-readable JSON object on stderr; 2 numerical
 failure (non-convergence, singular systems, failed selftest).
 
 With --output the artifact is written atomically (temp file + rename);
-otherwise it goes to stdout.  DILOG_THREADS caps internal parallelism.
+otherwise it goes to stdout.
 """
 
 from __future__ import annotations

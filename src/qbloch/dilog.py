@@ -143,78 +143,67 @@ def bloch_wigner(z) -> complex:
     return complex(0.0, val)
 
 
-class ModZ2Value:
-    """A complex number considered modulo Z(2) = (2*pi*i)^2 Z = 4*pi^2 Z.
+class _PeriodicValue:
+    """A complex number modulo PERIOD * Z, PERIOD real or purely imaginary.
 
-    The ambiguity is purely real; comparisons go through distance(), never
-    through ==.  canonical() reduces the real part into [0, 4*pi^2).
+    Comparisons go through distance(), never through ==.  canonical()
+    reduces the coordinate along PERIOD into [0, |PERIOD|).
     """
 
     __slots__ = ("rep",)
+    PERIOD = 1.0
 
     def __init__(self, rep):
         self.rep = complex(rep)
 
+    def _reduce(self, z, mod):
+        """z with its coordinate x along PERIOD replaced by mod(x, |PERIOD|)."""
+        p = self.PERIOD
+        if p.imag:
+            return complex(z.real, mod(z.imag, p.imag))
+        return complex(mod(z.real, p.real), z.imag)
+
+    def _value(self, other):
+        return other.rep if isinstance(other, type(self)) else complex(other)
+
     def canonical(self) -> complex:
-        re = self.rep.real % FOUR_PI2
-        return complex(re, self.rep.imag)
+        return self._reduce(self.rep, lambda x, p: x % p)
 
     def distance(self, other) -> float:
-        d = self.rep - (other.rep if isinstance(other, ModZ2Value) else complex(other))
-        re = d.real - FOUR_PI2 * round(d.real / FOUR_PI2)
-        return math.hypot(re, d.imag)
+        d = self.rep - self._value(other)
+        return abs(self._reduce(d, lambda x, p: x - p * round(x / p)))
 
     def distance_to_zero(self) -> float:
         return self.distance(0.0)
 
     def __add__(self, other):
-        return ModZ2Value(self.rep + (other.rep if isinstance(other, ModZ2Value) else complex(other)))
+        return type(self)(self.rep + self._value(other))
 
     def __mul__(self, n):
-        return ModZ2Value(self.rep * n)
+        return type(self)(self.rep * n)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ModZ2Value(-self.rep)
+        return type(self)(-self.rep)
 
     def __repr__(self):
-        return f"ModZ2Value({self.rep!r})"
+        return f"{type(self).__name__}({self.rep!r})"
 
 
-class ModZ1Value:
+class ModZ2Value(_PeriodicValue):
+    """A complex number considered modulo Z(2) = (2*pi*i)^2 Z = 4*pi^2 Z
+    (ambiguity purely real)."""
+
+    __slots__ = ()
+    PERIOD = FOUR_PI2
+
+
+class ModZ1Value(_PeriodicValue):
     """A complex number modulo Z(1) = 2*pi*i*Z (ambiguity purely imaginary)."""
 
-    __slots__ = ("rep",)
-
-    def __init__(self, rep):
-        self.rep = complex(rep)
-
-    def canonical(self) -> complex:
-        im = self.rep.imag % TWO_PI
-        return complex(self.rep.real, im)
-
-    def distance(self, other) -> float:
-        d = self.rep - (other.rep if isinstance(other, ModZ1Value) else complex(other))
-        im = d.imag - TWO_PI * round(d.imag / TWO_PI)
-        return math.hypot(d.real, im)
-
-    def distance_to_zero(self) -> float:
-        return self.distance(0.0)
-
-    def __add__(self, other):
-        return ModZ1Value(self.rep + (other.rep if isinstance(other, ModZ1Value) else complex(other)))
-
-    def __mul__(self, n):
-        return ModZ1Value(self.rep * n)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModZ1Value(-self.rep)
-
-    def __repr__(self):
-        return f"ModZ1Value({self.rep!r})"
+    __slots__ = ()
+    PERIOD = complex(0.0, TWO_PI)
 
 
 @dataclass(frozen=True)

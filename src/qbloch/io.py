@@ -197,33 +197,33 @@ def serialize_qterm(t) -> dict:
     return t.to_json_obj()
 
 
-def write_json_atomic(path, obj):
+def _write_atomic(path, write, newline=None):
+    """write(f) into a temp file beside path, then rename it over path."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, indent=1, sort_keys=True)
-            f.write("\n")
+        with os.fdopen(fd, "w", newline=newline) as f:
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path, obj):
+    def write(f):
+        json.dump(obj, f, indent=1, sort_keys=True)
+        f.write("\n")
+    _write_atomic(path, write)
 
 
 def write_csv_atomic(path, rows, header):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def write(f):
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    _write_atomic(path, write, newline="")
 
 
 def load_cv_file(path):

@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+
+import numpy as np
 
 from .errors import AdmissibilityError, PolytopeError
 from .laurent import LaurentPoly
@@ -203,7 +204,10 @@ class SpecialQTerm:
 
     is nonempty and compact, and caches rational coordinate bounds for an
     inflated copy of P that provably contains every affinely admissible
-    k'/n — the enumeration box used by newton_polytope_points.
+    k'/n — the enumeration box used by newton_polytope_points.  It also
+    compiles the integer data once, for point_values: one int64 matrix whose
+    rows are each quad's B, C, D, E, then L, then 2*QL and M, each with its
+    affine constant in the last column.
     """
 
     r: int
@@ -212,6 +216,7 @@ class SpecialQTerm:
     epsilon: int
     quads: tuple  # of (B, C, D, E) LinForms
     _box: tuple = field(default=None, compare=False, repr=False)
+    _rows: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "quads", tuple(tuple(q) for q in self.quads))
@@ -220,6 +225,10 @@ class SpecialQTerm:
         forms = [f for quad in self.quads for f in quad]
         _check_shapes(self.r, self.Q, self.L, forms)
         object.__setattr__(self, "_box", _validate_polytope(self))
+        ql2 = [int(2 * x) for x in self.Q.linear]
+        rows = ([f.coeffs + (f.constant,) for f in forms + [self.L]]
+                + [tuple(ql2) + (0,)] + [m + (0,) for m in self.Q.matrix])
+        object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
 
     @property
     def nvars(self):
@@ -234,6 +243,18 @@ class SpecialQTerm:
 
     def admissible(self, k):
         return all(f(k) >= 0 for f in self.inequality_forms())
+
+    def point_values(self, n, kp):
+        """Integer data at k = (n, k') for each of the P points k' in kp (r
+        integers each): (F, Q, L) with F[p, j] = (B_j, C_j, D_j, E_j)(k) of
+        shape (P, len(quads), 4), Q[p] = Q(k) and L[p] = L(k)."""
+        kp = np.asarray(kp, dtype=np.int64).reshape(len(kp), self.r)
+        k = np.column_stack((np.full(len(kp), n, dtype=np.int64), kp,
+                             np.ones(len(kp), dtype=np.int64)))
+        v = k @ self._rows.T
+        f = 4 * len(self.quads)
+        Q = (v[:, f + 1] + (v[:, f + 2:] * k[:, :-1]).sum(axis=1)) // 2
+        return v[:, :f].reshape(len(kp), len(self.quads), 4), Q, v[:, f]
 
     def to_json_obj(self):
         return {"r": self.r,
@@ -265,13 +286,7 @@ class SpecialQTerm:
 
 def q_factorial(n) -> LaurentPoly:
     """(q)_n = prod_{j=1}^n (1 - q^j), exactly."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"(q)_n needs n >= 0, got {n}")
-    out = LaurentPoly.one()
-    for j in range(1, n + 1):
-        out = out * LaurentPoly({0: 1, j: -1})
-    return out
+    return q_pochhammer_ratio(n, 0)
 
 
 def q_pochhammer_ratio(d, e) -> LaurentPoly:
@@ -447,25 +462,25 @@ def newton_polytope_points(t: SpecialQTerm, n):
 
     Enumerates the (exact, cached) bounding box of the inflated scaling
     polytope dilated by n, then filters with the full affine inequalities; by
-    construction this is exactly the support of the n-th coefficient.
+    construction this is exactly the support of the n-th coefficient.  The
+    points come in lexicographic order.
     """
     n = int(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    forms = t.inequality_forms()
-    ranges = []
+    lows, shape = [], []
     for lo, hi in t._box:
         a = max(0, math.ceil(lo * n))
         b = math.floor(hi * n)
         if b < a:
             return []
-        ranges.append(range(a, b + 1))
-    out = []
-    for kp in product(*ranges):
-        k = (n,) + kp
-        if all(f(k) >= 0 for f in forms):
-            out.append(kp)
-    return out
+        lows.append(a)
+        shape.append(b - a + 1)
+    box = np.indices(shape, dtype=np.int64).reshape(t.r, math.prod(shape)).T + lows
+    F, _, _ = t.point_values(n, box)
+    B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
+    ok = ((B >= C) & (C >= 0) & (D >= E) & (E >= 0)).all(axis=1)
+    return [tuple(kp) for kp in box[ok].tolist()]
 
 
 # ---------------------------------------------------------------------------

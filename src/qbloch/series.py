@@ -30,8 +30,6 @@ import cmath
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,53 +113,33 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
     pts = newton_polytope_points(t, n)
     if not pts:
         return 0.0 + 0.0j
-    args = []
-    for kp in pts:
-        k = (n,) + kp
-        for B, C, D, E in t.quads:
-            b, c, d, e = B(k), C(k), D(k), E(k)
-            args.extend((b, c, b - c, d, e))
-    m_max = max(args) if args else 0
-    powz = [cmath.exp(2j * math.pi * s / n) for s in range(n)]
-    # Z[m] = #{j <= m : n | j}; NP[m] = prod of the nonvanishing factors 1-q^j
-    Z = [0] * (m_max + 1)
-    NP = [1.0 + 0.0j] * (m_max + 1)
-    for m in range(1, m_max + 1):
-        if m % n == 0:
-            Z[m] = Z[m - 1] + 1
-            NP[m] = NP[m - 1]
-        else:
-            Z[m] = Z[m - 1]
-            NP[m] = NP[m - 1] * (1.0 - powz[m % n])
-    acc = 0.0 + 0.0j
-    for kp in pts:
-        k = (n,) + kp
-        val = 1.0 + 0.0j
-        for B, C, D, E in t.quads:
-            b, c, d, e = B(k), C(k), D(k), E(k)
-            # q-binomial at the root of unity (q-Lucas): zero iff the zero
-            # counts don't balance, else binom of the quotients times the
-            # nonvanishing partial products
-            if b or c:
-                if Z[b] - Z[c] - Z[b - c] > 0:
-                    val = 0.0 + 0.0j
-                    break
-                val *= math.comb(Z[b], Z[c]) * NP[b] / (NP[c] * NP[b - c])
-            # (q)_d / (q)_e as the polynomial prod_{j=e+1}^{d} (1-q^j)
-            if Z[d] - Z[e] > 0:
-                val = 0.0 + 0.0j
-                break
-            val *= NP[d] / NP[e]
-        if val:
-            val *= powz[t.Q(k) % n]
-            if t.epsilon == -1 and t.L(k) % 2 != 0:
-                val = -val
-            acc += val
-    return acc
+    F, Q, L = t.point_values(n, pts)
+    b, c, d, e = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
+    m_max = int(F.max(initial=0))
+    powz = np.exp(2j * np.pi * np.arange(n) / n)
+    # m // n = #{j <= m : n | j}; NP[m] = prod of the nonvanishing factors 1-q^j
+    m = np.arange(1, m_max + 1)
+    NP = np.cumprod(np.concatenate(([1.0 + 0.0j], np.where(m % n, 1.0 - powz[m % n], 1.0))))
+    zb, zc, zbc, zd, ze = b // n, c // n, (b - c) // n, d // n, e // n
+    z = m_max // n
+    binom = np.array([[math.comb(i, j) for j in range(z + 1)] for i in range(z + 1)],
+                     dtype=float)
+    # q-binomial at the root of unity (q-Lucas): zero iff the zero counts
+    # don't balance, else binom of the quotients times the nonvanishing
+    # partial products; (q)_d / (q)_e as the polynomial prod_{j=e+1}^{d} (1-q^j)
+    val = np.ones(len(pts), dtype=complex)
+    for j in range(len(t.quads)):
+        val *= binom[zb[:, j], zc[:, j]] * NP[b[:, j]] / (NP[c[:, j]] * NP[b[:, j] - c[:, j]])
+        val *= NP[d[:, j]] / NP[e[:, j]]
+    zero = ((zb - zc - zbc > 0) | (zd - ze > 0)).any(axis=1)
+    val = np.where(zero, 0.0, val) * powz[Q % n]
+    if t.epsilon == -1:
+        val = np.where(L % 2 != 0, -val, val)
+    return complex(val.sum())
 
 
 # ----------------------------------------------------------------------
-# exact coefficients: integer arithmetic in Z[q]/(q^n - 1)
+# exact coefficients: integer arithmetic in Z[q]/(q^N - 1)
 
 _GENERAL_EXACT_CAP = 25
 
@@ -180,28 +158,6 @@ def _fast_exact_path(t: SpecialQTerm) -> bool:
     return True
 
 
-def _ring_mul_1mq(vec, j, n):
-    """vec *= (1 - q^j) in Z[q]/(q^n - 1)."""
-    j %= n
-    out = list(vec)
-    for i, c in enumerate(vec):
-        if c:
-            out[(i + j) % n] -= c
-    return out
-
-
-def _ring_rotate(vec, d, n):
-    """vec *= q^d in Z[q]/(q^n - 1)."""
-    d %= n
-    if d == 0:
-        return list(vec)
-    out = [0] * n
-    for i, c in enumerate(vec):
-        if c:
-            out[(i + d) % n] = c
-    return out
-
-
 def _fold_poly(p: LaurentPoly, n: int):
     vec = [0] * n
     for e, c in p.items():
@@ -209,70 +165,41 @@ def _fold_poly(p: LaurentPoly, n: int):
     return vec
 
 
-def _contiguous_ks(t, n):
+def _walk(t: SpecialQTerm, n: int, size=None):
+    """Sum of t_{(n,k)} over admissible k by the division-free ratio walk
+    (fast path only), as an integer vector of Z[q]/(q^size - 1) with the
+    coefficient of q^e at index (e - origin) % size.  Returns (vec, origin).
+
+    size=n gives the vector whose value at q = e^{2pi*i/n} is c_n (origin 0);
+    size=None takes size above the exponent span and origin at the lowest
+    exponent, so vec holds the full Laurent polynomial."""
     pts = newton_polytope_points(t, n)
-    ks = sorted(p[0] for p in pts)
-    if ks and ks[-1] - ks[0] + 1 != len(ks):
+    if pts and pts[-1][0] - pts[0][0] + 1 != len(pts):
         raise AdmissibilityError("admissible set is not an integer interval")
-    return ks
-
-
-def _walk_ring(t: SpecialQTerm, n: int):
-    """Sum of t_{(n,k)} over admissible k as a vector in Z[q]/(q^n - 1),
-    computed by the division-free ratio walk (fast path only)."""
-    ks = _contiguous_ks(t, n)
-    if not ks:
-        return None
-    k = (n, ks[0])
-    cur = [0] * n
-    cur[t.Q(k) % n] = 1
-    for B, C, D, E in t.quads:
-        for j in range(E(k) + 1, D(k) + 1):
-            cur = _ring_mul_1mq(cur, j, n)
-    if t.epsilon == -1 and t.L(k) % 2 != 0:
-        cur = [-c for c in cur]
-    acc = list(cur)
-    for kp in ks[1:]:
-        k_new = (n, kp)
-        cur = _ring_rotate(cur, t.Q(k_new) - t.Q(k), n)
-        for B, C, D, E in t.quads:
-            for j in range(D(k) + 1, D(k_new) + 1):
-                cur = _ring_mul_1mq(cur, j, n)
-            for j in range(E(k_new) + 1, E(k) + 1):
-                cur = _ring_mul_1mq(cur, j, n)
-        if t.epsilon == -1 and (t.L(k_new) - t.L(k)) % 2 != 0:
-            cur = [-c for c in cur]
-        k = k_new
-        acc = [a + c for a, c in zip(acc, cur)]
-    return acc
-
-
-def _walk_laurent(t: SpecialQTerm, n: int) -> LaurentPoly:
-    """Full (unreduced) Laurent polynomial sum via the same ratio walk."""
-    ks = _contiguous_ks(t, n)
-    if not ks:
-        return LaurentPoly.zero()
-    k = (n, ks[0])
-    cur = LaurentPoly.monomial(t.Q(k))
-    for B, C, D, E in t.quads:
-        for j in range(E(k) + 1, D(k) + 1):
-            cur = cur - cur.shift(j)
-    if t.epsilon == -1 and t.L(k) % 2 != 0:
-        cur = -cur
-    acc = cur
-    for kp in ks[1:]:
-        k_new = (n, kp)
-        cur = cur.shift(t.Q(k_new) - t.Q(k))
-        for B, C, D, E in t.quads:
-            for j in range(D(k) + 1, D(k_new) + 1):
-                cur = cur - cur.shift(j)
-            for j in range(E(k_new) + 1, E(k) + 1):
-                cur = cur - cur.shift(j)
-        if t.epsilon == -1 and (t.L(k_new) - t.L(k)) % 2 != 0:
+    if not pts:
+        return np.zeros(size or 1, dtype=object), 0
+    F, Q, L = t.point_values(n, pts)
+    D, E = F[..., 2], F[..., 3]
+    origin = 0
+    if size is None:
+        degree = ((D * (D + 1) - E * (E + 1)) // 2).sum(axis=1)
+        origin = int(Q.min())
+        size = int((Q + degree).max()) - origin + 1
+    cur = np.zeros(size, dtype=object)
+    cur[-origin % size] = 1
+    acc = np.zeros(size, dtype=object)
+    # a virtual step before the first point: q^0 with the empty ratio (E, E]
+    q0, l0, d0, e0 = 0, 0, E[0].tolist(), E[0].tolist()
+    for q1, l1, d1, e1 in zip(Q.tolist(), L.tolist(), D.tolist(), E.tolist()):
+        cur = np.roll(cur, q1 - q0)
+        for da, db, ea, eb in zip(d0, d1, e0, e1):
+            for j in (*range(da + 1, db + 1), *range(eb + 1, ea + 1)):
+                cur = cur - np.roll(cur, j)          # times (1 - q^j)
+        if t.epsilon == -1 and (l1 - l0) % 2 != 0:
             cur = -cur
-        k = k_new
         acc = acc + cur
-    return acc
+        q0, l0, d0, e0 = q1, l1, d1, e1
+    return acc, origin
 
 
 def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
@@ -281,7 +208,8 @@ def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     if _fast_exact_path(t):
-        return _walk_laurent(t, n)
+        vec, origin = _walk(t, n)
+        return LaurentPoly({origin + i: c for i, c in enumerate(vec.tolist()) if c})
     if n > _GENERAL_EXACT_CAP:
         raise ValueError(
             f"exact mode for terms outside the product-only fast path is "
@@ -309,47 +237,20 @@ def _eval_ring_mp(vec, n) -> complex:
 
 def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
     if _fast_exact_path(t):
-        vec = _walk_ring(t, n)
-        if vec is None:
-            return 0.0 + 0.0j
+        vec = _walk(t, n, n)[0].tolist()
     else:
-        if n > _GENERAL_EXACT_CAP:
-            raise ValueError(
-                f"exact mode for terms outside the product-only fast path is "
-                f"capped at n <= {_GENERAL_EXACT_CAP} (got {n})")
-        pts = newton_polytope_points(t, n)
-        if not pts:
-            return 0.0 + 0.0j
-        vec = [0] * n
-        for kp in pts:
-            part = _fold_poly(eval_special_exact(t, (n,) + kp), n)
-            vec = [a + b for a, b in zip(vec, part)]
+        vec = _fold_poly(exact_polynomial(t, n), n)
     return _eval_ring_mp(vec, n)
 
 
-def _thread_count():
-    v = os.environ.get("DILOG_THREADS", "")
-    try:
-        return max(1, int(v))
-    except ValueError:
-        return 1
-
-
 def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
-    """c_n for n = 1..n_max.  Coefficients for distinct n are independent;
-    DILOG_THREADS > 1 maps them over a thread pool (order preserved)."""
+    """c_n for n = 1..n_max, one n at a time."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if mode not in ("numeric", "exact"):
         raise ValueError(f"mode must be 'numeric' or 'exact', got {mode!r}")
     f = _coeff_numeric if mode == "numeric" else _coeff_exact
-    ns = range(1, n_max + 1)
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            coeffs = tuple(ex.map(lambda n: f(t, n), ns))
-    else:
-        coeffs = tuple(f(t, n) for n in ns)
+    coeffs = tuple(f(t, n) for n in range(1, n_max + 1))
     return SeriesData(coeffs, 1, n_max, mode, _term_id(t))
 
 

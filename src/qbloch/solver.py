@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,14 +337,6 @@ def _finish_point(t, u, cfg, le):
         sheet=tuple(m), eps_branch=h, is_critical=h is not None)
 
 
-def _thread_count():
-    v = os.environ.get("DILOG_THREADS", "")
-    try:
-        return max(1, int(v))
-    except ValueError:
-        return 1
-
-
 def solve_variational(t: QTerm, cfg: SolverConfig = None):
     """All principal-strip solutions of the multiplicative variational
     equations found by seeded multistart Newton; deduplicated, deterministic,
@@ -360,24 +350,11 @@ def solve_variational(t: QTerm, cfg: SolverConfig = None):
     ims = rng.uniform(-math.pi, math.pi, size=(cfg.starts, n))
     starts = [[complex(res[s, i], ims[s, i]) for i in range(n)] for s in range(cfg.starts)]
 
-    def work(u0):
-        u = _newton_from(t, u0, cfg, le)
-        if u is None:
-            return None
-        return _finish_point(t, u, cfg, le)
-
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            raw = list(ex.map(work, starts))
-    else:
-        raw = [work(u0) for u0 in starts]
-
     points = []
-    for cp in raw:  # merge in start order: deterministic under any thread count
-        if cp is None:
-            continue
-        if any(_same_point(cp.u, q.u, cfg.dedup_tol) for q in points):
+    for u0 in starts:
+        u = _newton_from(t, u0, cfg, le)
+        cp = None if u is None else _finish_point(t, u, cfg, le)
+        if cp is None or any(_same_point(cp.u, q.u, cfg.dedup_tol) for q in points):
             continue
         points.append(cp)
     points.sort(key=lambda cp: tuple((round(x.real, 9), round(x.imag, 9)) for x in cp.u))

@@ -1,7 +1,7 @@
 import json
 import os
 
-from qbloch.battery import BATTERY_COUNT, BATTERY_SEED, make_battery
+from qbloch.battery import BATTERY_COUNT, BATTERY_SEED, main, make_battery
 from qbloch.io import parse_qterm, serialize_qterm
 
 BATTERY_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "terms", "battery")
@@ -16,6 +16,13 @@ def test_shipped_battery_matches_generator():
         path = os.path.join(BATTERY_DIR, f"term_{i:02d}.json")
         with open(path) as f:
             assert json.load(f) == serialize_qterm(t), path
+
+
+def test_main_writes_the_shipped_files(tmp_path):
+    assert main(["--out", str(tmp_path), "--count", "2"]) == 0
+    for name in ("term_00.json", "term_01.json"):
+        with open(os.path.join(BATTERY_DIR, name), "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read(), name
 
 
 def test_battery_files_all_parse():

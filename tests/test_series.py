@@ -1,13 +1,15 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qbloch.errors import DomainError, InsufficientDataError, SingularSystemError
 from qbloch.laurent import norm1
-from qbloch.qterm import four_one_special, one_variable_family
+from qbloch.qterm import (LinForm, QuadForm, SpecialQTerm, four_one_special,
+                          newton_polytope_points, one_variable_family)
 from qbloch.series import (ConjectureConfig, SeriesData, check_conjecture,
                            crosscheck_exact_numeric, empirical_potential_defect,
                            exact_polynomial, growth_rate, kashaev_41_oracle,
@@ -39,7 +41,7 @@ def test_exact_polynomial_small_n():
 
 def test_exact_numeric_crosscheck():
     t = four_one_special()
-    for n in (2, 20, 50):
+    for n in (2, 20, 50, 200):      # ring coefficients near 100 bits at n = 200
         s = sequence(t, n, "numeric")
         assert crosscheck_exact_numeric(t, n) < 1e-8 * (1 + abs(s.c(n)))
 
@@ -186,3 +188,57 @@ def test_laplace_ratio_check(t41):
     w = cmath.exp(1j * math.pi / 3)
     assert laplace_ratio_check(t41, (w,)) < 1e-10
     assert laplace_ratio_check(t41, (0.4 + 0.1j,)) > 1e-2
+
+
+def _corpus():
+    """Hand-written special terms for the general exact path and the variants
+    of the fast path; k = (n, k') throughout."""
+    z1, z2 = LinForm((0, 0)), LinForm((0, 0, 0))
+    kashaev = (z1, z1, LinForm((1, 1)), LinForm((1, 0)))       # (q)_{n+k}/(q)_n
+    q_nk = QuadForm(((0, -1), (-1, 0)), (0, 0))                  # -n k
+    return {
+        # * qbinom(n+1, k): zero at the root of unity for 2 <= k < n (q-Lucas)
+        # and, through (q)_{n+k}, for k >= n
+        "binomial": SpecialQTerm(
+            1, QuadForm(((1, 0), (0, -1)), (Fraction(1, 2), Fraction(1, 2))),
+            LinForm((0, 1)), 1,
+            (kashaev, (LinForm((1, 0), 1), LinForm((0, 1)), z1, z1))),
+        # * (q)_{n-1}/(q)_k: E increases with k
+        "e_increasing": SpecialQTerm(
+            1, q_nk, z1, 1, (kashaev, (z1, z1, LinForm((1, 0), -1), LinForm((0, 1))))),
+        # qbinom(n-1, k1+k2) * qbinom(k1+k2, k1) on the simplex
+        "simplex": SpecialQTerm(
+            2, QuadForm(((0, 0, 0), (0, -1, 1), (0, 1, 0)), (0, Fraction(1, 2), 0)),
+            LinForm((0, 1, 1)), 1,
+            ((LinForm((1, 0, 0), -1), LinForm((0, 1, 1)), z2, z2),
+             (LinForm((0, 1, 1)), LinForm((0, 1, 0)), z2, z2))),
+        # the built-in term with alternating signs (-1)^k
+        "eps_minus": SpecialQTerm(
+            1, q_nk, LinForm((0, 1)), -1,
+            (kashaev, (z1, z1, LinForm((1, 0), -1), LinForm((1, -1), -1)))),
+        # (q)_{n+k+1}/(q)_{n+1} * (q)_{n-1}/(q)_{n-2-k}: affine constant 1
+        "affine_one": SpecialQTerm(
+            1, q_nk, LinForm((1, 1), 1), -1,
+            ((z1, z1, LinForm((1, 1), 1), LinForm((1, 0), 1)),
+             (z1, z1, LinForm((1, 0), -1), LinForm((1, -1), -2)))),
+    }
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_exact_mode_matches_numeric(name):
+    t = CORPUS[name]
+    se, sn = sequence(t, 18, "exact"), sequence(t, 18, "numeric")
+    for n in range(1, 19):
+        assert abs(se.c(n) - sn.c(n)) <= 1e-8 * (1 + abs(se.c(n))), n
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_lattice_points_match_brute_force(name):
+    t = CORPUS[name]
+    for n in range(1, 19):
+        box = product(range(3 * n + 4), repeat=t.r)
+        want = [kp for kp in box if t.admissible((n,) + kp)]
+        assert newton_polytope_points(t, n) == want, n

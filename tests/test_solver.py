@@ -44,12 +44,6 @@ def test_determinism_and_seed_independence(t41):
         assert abs(x.z[0] - y.z[0]) < 1e-10     # same canonical point set
 
 
-def test_thread_count_does_not_change_results(t41, monkeypatch):
-    base = solve_variational(t41)
-    monkeypatch.setenv("DILOG_THREADS", "4")
-    assert solve_variational(t41) == base
-
-
 @pytest.mark.parametrize("a,b,eps", [(-2, 1, 1), (1, 2, -1), (2, 3, 1), (0, 2, 1)])
 def test_solver_matches_polynomial_oracle(a, b, eps):
     zs = sorted((cp.z[0] for cp in solve_variational(one_variable_family(a, b, eps))),

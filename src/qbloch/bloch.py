@@ -28,8 +28,8 @@ from .dilog import (CHatPoint, ModZ1Value, ModZ2Value, bloch_wigner,
                     deck_shift, phi, rogers_hat)
 from .errors import NotOnVarietyError
 from .qterm import QTerm
-from .solver import (SolverConfig, half_log_point, log_eps, solve_variational,
-                     var_residual, varlog_residual)
+from .solver import (SolverConfig, _log_exp, _reduce, _zpow, half_log_point,
+                     log_eps, solve_variational, var_residual, varlog_residual)
 
 __all__ = [
     "BlochElement", "ExtBlochElement", "CVSet", "NuHatCertificate",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
+_BETA_TOL = 1e-6    # largest var_residual at which beta accepts a point
+_CV_TOL = 1e-8      # critical values closer than this are one value
+_NU_TOL = 1e-8      # certify_nu_hat tolerance for its residual and lattice clauses
+_MP_DPS = 40        # significant digits of the mpmath diagram route
 
 
 def _zkey(z):
@@ -111,33 +115,27 @@ def _merge_ext(pairs):
     return tuple(out)
 
 
-def beta(t: QTerm, z, tol: float = 1e-6) -> BlochElement:
+def beta(t: QTerm, z) -> BlochElement:
     """Plain element sum_j s_j [z^{A_j}] at a multiplicative solution z.
 
-    Raises NotOnVarietyError when var_residual(t, z) > tol (and DomainError
+    Raises NotOnVarietyError when var_residual(t, z) > 1e-6 (and DomainError
     if z already sits outside C**).
     """
     r = var_residual(t, z)
-    if r > tol:
+    if r > _BETA_TOL:
         raise NotOnVarietyError(
-            f"point is not on the variational variety: residual {r:.3e} > {tol:.1e}")
+            f"point is not on the variational variety: residual {r:.3e} > {_BETA_TOL:.1e}")
     z = [complex(x) for x in z]
-    pairs = []
-    for a, s in t.factors:
-        w = 1.0 + 0.0j
-        for c, x in zip(a.coeffs, z):
-            if c:
-                w *= x ** c
-        pairs.append((w, s))
-    return BlochElement(_merge_plain(pairs))
+    return BlochElement(_merge_plain([(_zpow(a.coeffs, z), s) for a, s in t.factors]))
 
 
 def beta_hat(t: QTerm, cp) -> ExtBlochElement:
     """Extended element at a critical point: factor points (z^{A_j}; p_j, 0)
     with the solver's branch integers, plus (for eps = -1 or a nonzero branch
     index h) the half-log pair [x; p, 2g/pi*i] - [x; p, 0] with x the value of
-    z^{-L/2} determined by u.  The pair is omitted when its deck shift is zero
-    or when L has no homogeneous part (the pair then contributes nothing).
+    z^{-L/2} determined by u.  The pair is omitted when its deck shift is zero,
+    when L has no homogeneous part, or when its half-log l is 0 (the pair then
+    contributes nothing).
     """
     if not cp.is_critical:
         raise NotOnVarietyError(
@@ -152,8 +150,9 @@ def beta_hat(t: QTerm, cp) -> ExtBlochElement:
     shift = (2 if t.epsilon == -1 else 0) + 4 * cp.eps_branch
     if shift != 0 and any(c != 0 for c in t.L.coeffs):
         pt0, _ell = half_log_point(u, t.L)
-        pairs.append((deck_shift(pt0, 0, shift), 1))
-        pairs.append((pt0, -1))
+        if pt0 is not None:
+            pairs.append((deck_shift(pt0, 0, shift), 1))
+            pairs.append((pt0, -1))
     return ExtBlochElement(_merge_ext(pairs))
 
 
@@ -162,24 +161,15 @@ def potential(t: QTerm, u, eps_branch: int = 0) -> ModZ1Value:
     g = Log(eps) + 2*pi*i*eps_branch, as a value mod 2*pi*i*Z."""
     u = [complex(x) for x in u]
     g = log_eps(t.epsilon) + TWO_PI_I * eps_branch
-    quad = 0.0 + 0.0j
-    M = t.Q.matrix
-    for i in range(t.nvars):
-        for j in range(t.nvars):
-            if M[i][j]:
-                quad += M[i][j] * u[i] * u[j]
-    quad *= 0.5
-    s = t.L.homog(u)
-    lam = cmath.log(cmath.exp(s)) if (s.real or s.imag) else 0.0 + 0.0j
-    rep = (quad + g * lam) / TWO_PI_I
+    rep = (t.Q.homog_value(u) + g * _log_exp(t.L.homog(u))) / TWO_PI_I
     for a, sgn in t.factors:
         rep += sgn * phi(cmath.exp(a.homog(u))).rep
     return ModZ1Value(rep)
 
 
-def cv_set(t: QTerm, cfg: SolverConfig = None, points=None, tol: float = 1e-8) -> CVSet:
+def cv_set(t: QTerm, cfg: SolverConfig = None, points=None) -> CVSet:
     """Critical-value set: e^{-V} over the critical points of t, deduplicated
-    within tol.  Non-critical multiplicative solutions contribute nothing."""
+    within 1e-8.  Non-critical multiplicative solutions contribute nothing."""
     if points is None:
         points = solve_variational(t, cfg)
     vals = []
@@ -187,10 +177,10 @@ def cv_set(t: QTerm, cfg: SolverConfig = None, points=None, tol: float = 1e-8) -
         if not cp.is_critical:
             continue
         v = cmath.exp(-potential(t, cp.u, cp.eps_branch).rep)
-        if all(abs(v - w) >= tol for w in vals):
+        if all(abs(v - w) >= _CV_TOL for w in vals):
             vals.append(v)
     vals.sort(key=_zkey)
-    return CVSet(tuple(vals), tol)
+    return CVSet(tuple(vals), _CV_TOL)
 
 
 def rogers_of_element(e: ExtBlochElement) -> ModZ2Value:
@@ -220,9 +210,9 @@ class NuHatCertificate:
         return self.ok
 
 
-def certify_nu_hat(t: QTerm, cp, tol: float = 1e-8) -> NuHatCertificate:
+def certify_nu_hat(t: QTerm, cp) -> NuHatCertificate:
     """Checks the four exactness clauses for the extended element at cp:
-    (i) Q symmetric, (ii) reduced variational residual < tol,
+    (i) Q symmetric, (ii) reduced variational residual < 1e-8,
     (iii) Log(z^L) + 2l lands on the lattice (pi*i/2)Z,
     (iv) every branch integer is even.  False certificates name the
     failed clauses."""
@@ -233,18 +223,17 @@ def certify_nu_hat(t: QTerm, cp, tol: float = 1e-8) -> NuHatCertificate:
         failures.append("symmetric-Q")
     u = [complex(x) for x in cp.u]
     try:
-        raw = varlog_residual(t, u)
-        red = max(abs(v - TWO_PI_I * round(v.imag / (2.0 * math.pi))) for v in raw)
-        if red > tol:
+        H, _ = _reduce(varlog_residual(t, u))
+        if max(abs(h) for h in H) > _NU_TOL:
             failures.append("variational-residual")
     except (ValueError, ArithmeticError):
         failures.append("variational-residual")
     s = t.L.homog(u)
-    lam = cmath.log(cmath.exp(s)) if (s.real or s.imag) else 0.0 + 0.0j
+    lam = _log_exp(s)
     ell = -lam + 0.5 * s
     d = lam + 2.0 * ell
     half_pi = 0.5 * math.pi
-    if abs(d.real) > tol or abs(d.imag - half_pi * round(d.imag / half_pi)) > tol:
+    if abs(d.real) > _NU_TOL or abs(d.imag - half_pi * round(d.imag / half_pi)) > _NU_TOL:
         failures.append("half-log-lattice")
     for p in tuple(cp.branch_A) + (cp.branch_L,):
         if p % 2 != 0:
@@ -264,7 +253,7 @@ def _mp_li2(w, mp):
     return mp.polylog(2, w)
 
 
-def _certify_mp(t: QTerm, cp, dps: int = 40) -> float:
+def _certify_mp(t: QTerm, cp) -> float:
     """High-precision re-derivation of the diagram defect: re-polish u with
     the sheet vector and branch index frozen from the float stage, then
     recompute both e^{-V} and e^{R/2pii} with all branch data re-read from
@@ -274,7 +263,7 @@ def _certify_mp(t: QTerm, cp, dps: int = 40) -> float:
     n = t.nvars
     m_sheet = cp.sheet
     h = cp.eps_branch
-    with mp.workdps(dps):
+    with mp.workdps(_MP_DPS):
         pi = mp.pi
         ipi = mp.mpc(0, 1) * pi
         le = ipi if t.epsilon == -1 else mp.mpc(0)
@@ -294,7 +283,7 @@ def _certify_mp(t: QTerm, cp, dps: int = 40) -> float:
                 H.append(v)
             return H, zeta
 
-        target = mp.mpf(10) ** (-dps + 8)
+        target = mp.mpf(10) ** (-_MP_DPS + 8)
         for _ in range(60):
             H, zeta = residual(u)
             if max(abs(v) for v in H) < target:
@@ -338,7 +327,7 @@ def _certify_mp(t: QTerm, cp, dps: int = 40) -> float:
         return float(abs(lhs - rhs))
 
 
-def certify_diagram(t: QTerm, cp, escalate: bool = True) -> float:
+def certify_diagram(t: QTerm, cp) -> float:
     """|e^{-V} - e^{R(beta_hat)/2pii}| at a critical point.  When the float
     route cannot resolve the defect (conditioning eats double precision for
     large potentials), re-derives both sides at 40 significant digits."""
@@ -350,7 +339,7 @@ def certify_diagram(t: QTerm, cp, escalate: bool = True) -> float:
     R = rogers_of_element(bh)
     rhs = cmath.exp(R.rep / TWO_PI_I)
     defect = abs(lhs - rhs)
-    if defect > 1e-9 and escalate:
+    if defect > 1e-9:
         try:
             defect = _certify_mp(t, cp)
         except (ArithmeticError, ValueError):

@@ -30,8 +30,8 @@ from .bloch import beta_hat, bw_of_element, certify_diagram, certify_nu_hat, cv_
 from .errors import ConfigError, SchemaError
 from .io import load_cv_file, parse_qterm, write_csv_atomic, write_json_atomic
 from .qterm import SpecialQTerm
-from .series import (ConjectureConfig, check_conjecture, growth_rate,
-                     pade_poles, sequence)
+from .series import (_PADE_DEN, _PADE_N, _PADE_NUM, ConjectureConfig,
+                     check_conjecture, growth_rate, pade_poles, sequence)
 from .solver import SolverConfig, solve_variational
 
 __all__ = ["RunConfig", "run", "main"]
@@ -156,8 +156,8 @@ def _cmd_sing(cfg):
     s = sequence(t, n_max, cfg.mode)
     est = growth_rate(s)
     poles = ()
-    if n_max >= 120:
-        poles = pade_poles(s.truncate(120), 40, 40)
+    if n_max >= _PADE_N:
+        poles = pade_poles(s.truncate(_PADE_N), _PADE_NUM, _PADE_DEN)
     return "json", {"input": cfg.input_path,
                     "c": est.c,
                     "radius": est.radius,

@@ -204,7 +204,8 @@ class SpecialQTerm:
 
     is nonempty and compact, and caches rational coordinate bounds for an
     inflated copy of P that provably contains every affinely admissible
-    k'/n — the enumeration box used by newton_polytope_points.  It also
+    k'/n for n >= 1, and for the admissible k' at n = 0 — the enumeration
+    boxes used by newton_polytope_points.  It also
     compiles the integer data once, for point_values: one int64 matrix whose
     rows are each quad's B, C, D, E, then L, then 2*QL and M, each with its
     affine constant in the last column.
@@ -216,6 +217,7 @@ class SpecialQTerm:
     epsilon: int
     quads: tuple  # of (B, C, D, E) LinForms
     _box: tuple = field(default=None, compare=False, repr=False)
+    _box0: tuple = field(default=None, compare=False, repr=False)
     _rows: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -224,7 +226,9 @@ class SpecialQTerm:
             raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
         forms = [f for quad in self.quads for f in quad]
         _check_shapes(self.r, self.Q, self.L, forms)
-        object.__setattr__(self, "_box", _validate_polytope(self))
+        box, box0 = _validate_polytope(self)
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_box0", box0)
         ql2 = [int(2 * x) for x in self.Q.linear]
         rows = ([f.coeffs + (f.constant,) for f in forms + [self.L]]
                 + [tuple(ql2) + (0,)] + [m + (0,) for m in self.Q.matrix])
@@ -420,8 +424,10 @@ def _validate_polytope(t: SpecialQTerm):
 
     The polytope lives in w-space (w = k'/n, r coordinates); a form with
     coefficient vector (v_0, ..., v_r) restricts to v_0 + sum_{i>=1} v_i w_i.
-    The returned box bounds the inflated polytope {ineqs >= -c_max}, which
-    contains k'/n for every affinely admissible k' at every n >= 1.
+    Returns two boxes.  The first bounds the inflated polytope
+    {ineqs >= -c_max}, which contains k'/n for every affinely admissible k'
+    at every n >= 1.  The second bounds {sum_{i>=1} v_i k'_i >= -c_max},
+    which contains every affinely admissible k' at n = 0.
     """
     r = t.r
     forms = t.inequality_forms()
@@ -446,22 +452,26 @@ def _validate_polytope(t: SpecialQTerm):
             if _fm_feasible(ray, r):
                 raise PolytopeError(f"scaling polytope unbounded in coordinate {i} "
                                     f"(direction {'+' if s > 0 else '-'})")
-    inflated = [(c, d + c_max) for c, d in ineqs]
-    box = []
-    for i in range(r):
-        lo, hi = _fm_interval(list(inflated), r, i)
-        if lo is None or hi is None:
-            # cannot happen once the recession cone is trivial
-            raise PolytopeError(f"inflated polytope unbounded in coordinate {i}")
-        box.append((lo, hi))
-    return tuple(box)
+    boxes = []
+    for system in ([(c, d + c_max) for c, d in ineqs],
+                   [(c, Fraction(c_max)) for c, _ in ineqs]):
+        box = []
+        for i in range(r):
+            lo, hi = _fm_interval(list(system), r, i)
+            if lo is None or hi is None:
+                # cannot happen once the recession cone is trivial
+                raise PolytopeError(f"inflated polytope unbounded in coordinate {i}")
+            box.append((lo, hi))
+        boxes.append(tuple(box))
+    return tuple(boxes)
 
 
 def newton_polytope_points(t: SpecialQTerm, n):
     """Lattice points k' in N^r with k = (n, k') admissible for t.
 
     Enumerates the (exact, cached) bounding box of the inflated scaling
-    polytope dilated by n, then filters with the full affine inequalities; by
+    polytope dilated by n (at n = 0, the cached box of the k'-parts of the
+    forms), then filters with the full affine inequalities; by
     construction this is exactly the support of the n-th coefficient.  The
     points come in lexicographic order.
     """
@@ -469,9 +479,9 @@ def newton_polytope_points(t: SpecialQTerm, n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     lows, shape = [], []
-    for lo, hi in t._box:
-        a = max(0, math.ceil(lo * n))
-        b = math.floor(hi * n)
+    for lo, hi in (t._box0 if n == 0 else [(lo * n, hi * n) for lo, hi in t._box]):
+        a = max(0, math.ceil(lo))
+        b = math.floor(hi)
         if b < a:
             return []
         lows.append(a)

@@ -52,6 +52,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_PADE_N, _PADE_NUM, _PADE_DEN = 120, 40, 40   # [40/40] on c_0..c_120
+_RESIDUE_REL_TOL = 1e-7   # pade_poles drops poles with a smaller relative residue
+_NEAR_DISK = 1.5          # poles within this multiple of the radius are compared
+_CONSISTENT_TOL = 0.05    # relative defects below this read "consistent"
+_INCONSISTENT_TOL = 0.25  # and above this "inconsistent"
 
 
 # ----------------------------------------------------------------------
@@ -335,8 +340,7 @@ def growth_rate(s: SeriesData) -> SingularityEstimate:
 # ----------------------------------------------------------------------
 # Pade pole extraction
 
-def pade_poles(s: SeriesData, num_degree: int, den_degree: int,
-               residue_rel_tol: float = 1e-7):
+def pade_poles(s: SeriesData, num_degree: int, den_degree: int):
     """Poles of the [num/den] Pade approximant to sum c_n x^n.
 
     The series is rescaled by the geometric mean growth before solving the
@@ -391,7 +395,7 @@ def pade_poles(s: SeriesData, num_degree: int, den_degree: int,
     if not out:
         raise SingularSystemError("no finite denominator roots")
     top = max(residues)
-    keep = [p for p, r in zip(out, residues) if r > residue_rel_tol * max(1.0, top)]
+    keep = [p for p, r in zip(out, residues) if r > _RESIDUE_REL_TOL * max(1.0, top)]
     keep.sort(key=lambda z: (abs(z), cmath.phase(z)))
     return keep
 
@@ -427,12 +431,6 @@ def pinned_qterm(t: SpecialQTerm) -> QTerm:
 class ConjectureConfig:
     n_max: int = 1000
     mode: str = "numeric"
-    pade_n: int = 120
-    pade_num: int = 40
-    pade_den: int = 40
-    near_disk: float = 1.5
-    consistent_tol: float = 0.05
-    inconsistent_tol: float = 0.25
     cv_override: tuple = None     # bypass the solver with known values
     solver: SolverConfig = None
 
@@ -492,7 +490,7 @@ def check_conjecture(t: SpecialQTerm, cfg: ConjectureConfig = None) -> Conjectur
         notes.append(f"growth estimation: {exc}")
     poles = ()
     try:
-        poles = tuple(pade_poles(s.truncate(cfg.pade_n), cfg.pade_num, cfg.pade_den))
+        poles = tuple(pade_poles(s.truncate(_PADE_N), _PADE_NUM, _PADE_DEN))
     except (SingularSystemError, InsufficientDataError, ValueError) as exc:
         notes.append(f"pade: {exc}")
     if not cv_vals:
@@ -507,23 +505,23 @@ def check_conjecture(t: SpecialQTerm, cfg: ConjectureConfig = None) -> Conjectur
                                 None, poles, (), tuple(notes), diagnostics)
     min_cv = min(abs(v) for v in cv_vals)
     radius_defect = abs(est.radius - min_cv) / min_cv
-    near = [p for p in poles if abs(p) <= cfg.near_disk * est.radius]
+    near = [p for p in poles if abs(p) <= _NEAR_DISK * est.radius]
     pole_defects = tuple(
         min(abs(p - v) / abs(v) for v in cv_vals) for p in near)
     # The verdict keys on the dominant singularity only: a branch point
     # makes the approximant lay a string of genuine poles along the cut,
     # so poles beyond the nearest are reported but never counted against.
-    radius_ok = radius_defect < cfg.consistent_tol
+    radius_ok = radius_defect < _CONSISTENT_TOL
     if near:
         nearest_idx = min(range(len(near)), key=lambda i: abs(near[i]))
         nearest_defect = pole_defects[nearest_idx]
     else:
         nearest_defect = None
         notes.append("no poles inside the near-disk region")
-    if radius_ok and nearest_defect is not None and nearest_defect < cfg.consistent_tol:
+    if radius_ok and nearest_defect is not None and nearest_defect < _CONSISTENT_TOL:
         verdict = "consistent"
-    elif radius_defect > cfg.inconsistent_tol or (
-            nearest_defect is not None and nearest_defect > cfg.inconsistent_tol):
+    elif radius_defect > _INCONSISTENT_TOL or (
+            nearest_defect is not None and nearest_defect > _INCONSISTENT_TOL):
         verdict = "inconsistent"
     else:
         verdict = "inconclusive"

@@ -38,6 +38,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 _RE_MAX = 6.0   # iterate guard; keeps every partial product in var_residual finite
 _UNIT_TOL = 1e-12
+_MAX_ITER = 80      # Newton steps per start
+_DEDUP_TOL = 1e-6   # two points closer than this (mod 2*pi*i) are one solution
 
 
 def log_eps(epsilon: int) -> complex:
@@ -45,8 +47,48 @@ def log_eps(epsilon: int) -> complex:
     return complex(0.0, math.pi) if epsilon == -1 else 0.0 + 0.0j
 
 
-def _factor_data(t: QTerm):
-    return [(a.coeffs, s) for a, s in t.factors]
+def _log_exp(s):
+    """Log(e^s): s with Im reduced into (-pi, pi]; exactly 0 at s = 0."""
+    return cmath.log(cmath.exp(s)) if (s.real or s.imag) else 0.0 + 0.0j
+
+
+def _zpow(coeffs, z):
+    """z^A = prod_i z_i^{A_i} by integer powers."""
+    w = 1.0 + 0.0j
+    for c, x in zip(coeffs, z):
+        if c:
+            w *= x ** c
+    return w
+
+
+def _system(t, u, le):
+    """(raw varlog vector, zeta) at log coordinates u, zeta_j = e^{A_j(u)};
+    None if some zeta_j lies in {0, 1} (within _UNIT_TOL)."""
+    n = t.nvars
+    zeta = []
+    logs = []
+    for a, _ in t.factors:
+        w = cmath.exp(a.homog(u))
+        d = 1.0 - w
+        if abs(d) < _UNIT_TOL or abs(w) < _UNIT_TOL:
+            return None
+        zeta.append(w)
+        logs.append(cmath.log(complex(d.real, d.imag + 0.0)))
+    out = []
+    for i in range(n):
+        v = sum(t.Q.matrix[i][m] * u[m] for m in range(n))
+        v += le * t.L.coeffs[i]
+        for (a, s), lg in zip(t.factors, logs):
+            if a.coeffs[i]:
+                v += s * a.coeffs[i] * lg
+        out.append(v)
+    return out, zeta
+
+
+def _reduce(v):
+    """(H, m) with H_i = v_i - 2*pi*i*m_i and m_i = round(Im v_i / 2pi)."""
+    m = [round(x.imag / TWO_PI) for x in v]
+    return [x - complex(0.0, TWO_PI * k) for x, k in zip(v, m)], m
 
 
 def var_residual(t: QTerm, z) -> float:
@@ -65,20 +107,13 @@ def var_residual(t: QTerm, z) -> float:
             raise DomainError(f"z[{i}] = {x} hits {{0,1}}")
     pw = []
     for a, _ in t.factors:
-        w = 1.0 + 0.0j
-        for c, x in zip(a.coeffs, z):
-            if c:
-                w *= x ** c
+        w = _zpow(a.coeffs, z)
         if abs(w) < _UNIT_TOL or abs(w - 1.0) < _UNIT_TOL:
             raise DomainError(f"z^A = {w} hits {{0,1}} for factor {a}")
         pw.append(w)
     worst = 0.0
     for i in range(n):
-        acc = 1.0 + 0.0j
-        for m in range(n):
-            e = t.Q.matrix[i][m]
-            if e:
-                acc *= z[m] ** e
+        acc = _zpow(t.Q.matrix[i], z)
         if t.epsilon == -1 and t.L.coeffs[i] % 2 != 0:
             acc = -acc
         for (a, s), w in zip(t.factors, pw):
@@ -99,29 +134,16 @@ def varlog_residual(t: QTerm, u):
     for i, x in enumerate(u):
         if abs(cmath.exp(x) - 1.0) < _UNIT_TOL:
             raise DomainError(f"e^u[{i}] = 1")
-    le = log_eps(t.epsilon)
-    logs = []
-    for a, _ in t.factors:
-        w = cmath.exp(a.homog(u))
-        if abs(w - 1.0) < _UNIT_TOL:
-            raise DomainError(f"z^A = 1 for factor {a}")
-        logs.append(cmath.log(complex((1.0 - w).real, (1.0 - w).imag + 0.0)))
-    out = []
-    for i in range(n):
-        v = sum(t.Q.matrix[i][m] * u[m] for m in range(n))
-        v += le * t.L.coeffs[i]
-        for (a, s), lg in zip(t.factors, logs):
-            if a.coeffs[i]:
-                v += s * a.coeffs[i] * lg
-        out.append(v)
-    return out
+    state = _system(t, u, log_eps(t.epsilon))
+    if state is None:
+        raise DomainError("some z^A hits {0,1}")
+    return state[0]
 
 
 def branch_integer(u, A: LinForm) -> int:
     """Even branch integer p with  sum_i v_i(A) u_i = Log(z^A) + p*pi*i."""
     s = A.homog([complex(x) for x in u])
-    diff = s - cmath.log(cmath.exp(s)) if s.imag or s.real else 0.0 + 0.0j
-    # exp/log pair reduces Im into (-pi, pi]; the difference is 2*pi*i*k exactly
+    diff = s - _log_exp(s)   # 2*pi*i*k exactly
     p = diff.imag / math.pi
     k = round(p)
     if abs(p - k) > 1e-8:
@@ -137,19 +159,23 @@ def half_log_point(u, L: LinForm):
 
     The point's branch integer p is the (always even) offset making
     log_z(point) = l exactly; it satisfies x^2 * z^L = 1 and
-    Log(z^L) + 2l in (pi*i/2) Z.
+    Log(z^L) + 2l in (pi*i/2) Z.  When x = 1 with l = 0 there is no cover
+    point, and the point is returned as None: the regulator pair
+    [x; p, shift] - [x; p, 0] built on it contributes nothing.
     """
     from .dilog import CHatPoint  # local import keeps module layering acyclic
 
     u = [complex(x) for x in u]
     s = L.homog(u)
-    lam = cmath.log(cmath.exp(s)) if (s.real or s.imag) else 0.0 + 0.0j
-    ell = -lam + 0.5 * s
+    ell = -_log_exp(s) + 0.5 * s
     x = cmath.exp(ell)
     if abs(x - 1.0) < _UNIT_TOL:
+        m = round(ell.imag / TWO_PI)
+        if m == 0:
+            return None, ell
         raise DomainError(
-            "half-log point degenerates to 1 (z^L = 1 with even half-branch); "
-            "the regulator pair is empty in this case")
+            f"half-log point degenerates to 1 at l = 2*pi*i*{m}: the regulator "
+            "pair does not vanish, and 1 has no cover point")
     diff = (ell - cmath.log(x)).imag / math.pi
     p = round(diff)
     if abs(diff - p) > 1e-8 or p % 2 != 0:
@@ -162,17 +188,12 @@ class SolverConfig:
     starts: int = 120
     seed: int = 0
     newton_tol: float = 1e-10
-    max_iter: int = 80
-    dedup_tol: float = 1e-6
-    strip: bool = True
 
     def __post_init__(self):
         if self.starts < 1:
             raise ConfigError(f"starts must be >= 1, got {self.starts}")
-        if not (self.newton_tol > 0 and self.dedup_tol > 0):
-            raise ConfigError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.newton_tol > 0:
+            raise ConfigError("newton_tol must be positive")
 
 
 @dataclass
@@ -203,32 +224,6 @@ class CriticalPoint:
         }
 
 
-def _varlog_reduced(t, u, le):
-    """(H, m, logs, zeta) at u, or None if a domain guard trips."""
-    n = t.nvars
-    zeta = []
-    logs = []
-    for a, _ in t.factors:
-        w = cmath.exp(a.homog(u))
-        d = 1.0 - w
-        if abs(d) < _UNIT_TOL or abs(w) < _UNIT_TOL:
-            return None
-        zeta.append(w)
-        logs.append(cmath.log(complex(d.real, d.imag + 0.0)))
-    H = []
-    m = []
-    for i in range(n):
-        v = sum(t.Q.matrix[i][mm] * u[mm] for mm in range(n))
-        v += le * t.L.coeffs[i]
-        for (a, s), lg in zip(t.factors, logs):
-            if a.coeffs[i]:
-                v += s * a.coeffs[i] * lg
-        k = round(v.imag / TWO_PI)
-        m.append(k)
-        H.append(v - complex(0.0, TWO_PI * k))
-    return H, m, logs, zeta
-
-
 def _jacobian(t, zeta, n):
     J = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -244,13 +239,14 @@ def _jacobian(t, zeta, n):
 def _newton_from(t, u0, cfg, le):
     n = t.nvars
     u = list(u0)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if any(abs(x.real) > _RE_MAX for x in u):
             return None
-        state = _varlog_reduced(t, u, le)
+        state = _system(t, u, le)
         if state is None:
             return None
-        H, m, logs, zeta = state
+        v, zeta = state
+        H, _ = _reduce(v)
         hmax = max(abs(h) for h in H)
         if hmax < 1e-13:
             return u
@@ -288,28 +284,26 @@ def _wrap_strip(u):
     return out
 
 
-def _same_point(u, v, tol):
+def _same_point(u, v):
     for a, b in zip(u, v):
         d = min(abs(a - b - complex(0.0, TWO_PI * k)) for k in (-1, 0, 1))
-        if d > tol:
+        if d > _DEDUP_TOL:
             return False
     return True
 
 
 def _finish_point(t, u, cfg, le):
     """Validate, wrap, and decorate a converged iterate; None to discard."""
-    u = _wrap_strip(u) if cfg.strip else list(u)
-    state = _varlog_reduced(t, u, le)
+    u = _wrap_strip(u)
+    state = _system(t, u, le)
     if state is None:
         return None
-    H, m, logs, zeta = state
+    v, zeta = state
+    H, m = _reduce(v)
     res_log = max(abs(h) for h in H)
     if res_log >= cfg.newton_tol:
         return None
     z = [cmath.exp(x) for x in u]
-    for x in z:
-        if abs(x) < _UNIT_TOL or abs(x - 1.0) < _UNIT_TOL:
-            return None
     try:
         res_mult = var_residual(t, z)
     except DomainError:
@@ -354,7 +348,7 @@ def solve_variational(t: QTerm, cfg: SolverConfig = None):
     for u0 in starts:
         u = _newton_from(t, u0, cfg, le)
         cp = None if u is None else _finish_point(t, u, cfg, le)
-        if cp is None or any(_same_point(cp.u, q.u, cfg.dedup_tol) for q in points):
+        if cp is None or any(_same_point(cp.u, q.u) for q in points):
             continue
         points.append(cp)
     points.sort(key=lambda cp: tuple((round(x.real, 9), round(x.imag, 9)) for x in cp.u))

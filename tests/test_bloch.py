@@ -8,8 +8,10 @@ import pytest
 from qbloch.bloch import (CVSet, beta, beta_hat, bw_of_element, _certify_mp,
                           certify_diagram, certify_nu_hat, cv_set, potential,
                           rogers_of_element)
-from qbloch.errors import NotOnVarietyError
-from qbloch.solver import solve_variational
+from qbloch.errors import DomainError, NotOnVarietyError
+from qbloch.io import parse_qterm_obj
+from qbloch.qterm import LinForm
+from qbloch.solver import half_log_point, solve_variational
 
 LOBACHEVSKY = 1.0149416064096536
 VOLUME = 2.0298832128193074
@@ -142,3 +144,30 @@ def test_cv_dedup_tolerance():
     assert len(cv) == 2 and list(cv)
     obj = cv.to_json_obj()
     assert obj["values"] == [[0.5, 0.0], [1.25, 0.0]]
+
+
+def test_half_log_pair_vanishes_when_l_is_zero():
+    """At both critical points of this term z^L = 1 with half-log l = 0: the
+    half-log pair contributes nothing to either regulator and is omitted."""
+    t = parse_qterm_obj({
+        "r": 1, "Q": {"matrix": [[-2, 2], [2, 1]], "linear": ["0", "-1/2"]},
+        "L": {"coeffs": [-1, 2], "constant": 0}, "epsilon": -1,
+        "factors": [{"A": {"coeffs": [1, -1], "constant": 1}, "sign": 1}]})
+    pts = [cp for cp in solve_variational(t) if cp.is_critical]
+    assert len(pts) == 2
+    for cp in pts:
+        assert half_log_point(cp.u, t.L)[0] is None
+        el = beta_hat(t, cp)
+        assert [m for _, m in el.terms] == [1]
+        assert abs(abs(rogers_of_element(el).rep.imag) - LOBACHEVSKY) < 1e-12
+        assert certify_diagram(t, cp) < 1e-15
+        assert _certify_mp(t, cp) < 1e-25
+        assert certify_nu_hat(t, cp).ok
+
+
+def test_half_log_point_degenerate_cases():
+    u = (0.5 + 0.2j, 0.5 + 0.2j)
+    pt, ell = half_log_point(u, LinForm((1, -1)))     # l = 0: no pair
+    assert pt is None and ell == 0
+    with pytest.raises(DomainError):                  # x = 1 but l = 2*pi*i
+        half_log_point((1j * math.pi, 1j * math.pi), LinForm((2, 2)))

@@ -37,6 +37,7 @@ def test_exact_polynomial_small_n():
     assert a2(-1) == 5                      # exact integer evaluation at zeta_2
     a1 = exact_polynomial(t, 1)
     assert a1(1.0) == 1.0
+    assert exact_polynomial(CORPUS["qbinom"], 0)(1) == 2   # k' = 0 and k' = 1
 
 
 def test_exact_numeric_crosscheck():
@@ -216,6 +217,10 @@ def _corpus():
         "eps_minus": SpecialQTerm(
             1, q_nk, LinForm((0, 1)), -1,
             (kashaev, (z1, z1, LinForm((1, 0), -1), LinForm((1, -1), -1)))),
+        # qbinom(n+1, k) alone: two points at n = 0
+        "qbinom": SpecialQTerm(
+            1, QuadForm(((0, 0), (0, 0)), (0, 0)), z1, 1,
+            ((LinForm((1, 0), 1), LinForm((0, 1)), z1, z1),)),
         # (q)_{n+k+1}/(q)_{n+1} * (q)_{n-1}/(q)_{n-2-k}: affine constant 1
         "affine_one": SpecialQTerm(
             1, q_nk, LinForm((1, 1), 1), -1,
@@ -238,7 +243,7 @@ def test_corpus_exact_mode_matches_numeric(name):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_lattice_points_match_brute_force(name):
     t = CORPUS[name]
-    for n in range(1, 19):
+    for n in range(0, 19):
         box = product(range(3 * n + 4), repeat=t.r)
         want = [kp for kp in box if t.admissible((n,) + kp)]
         assert newton_polytope_points(t, n) == want, n

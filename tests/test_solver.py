@@ -1,13 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qbloch.errors import DomainError
-from qbloch.qterm import one_variable_family
-from qbloch.solver import (CriticalPoint, SolverConfig, solve_poly_1var,
-                           solve_variational, var_residual)
+from qbloch.qterm import LinForm, QTerm, QuadForm, one_variable_family
+from qbloch.solver import (CriticalPoint, SolverConfig, _reduce, solve_poly_1var,
+                           solve_variational, var_residual, varlog_residual)
 
 W = cmath.exp(1j * math.pi / 3)
 
@@ -67,6 +68,23 @@ def test_var_residual_domain(t41):
         var_residual(t41, (1.0,))               # z = 1 kills the factor
     with pytest.raises(DomainError):
         var_residual(t41, (0.0,))
+
+
+def test_varlog_residual_domain(t41):
+    with pytest.raises(DomainError):
+        varlog_residual(t41, (0j,))                # e^u = 1
+    t = QTerm(1, QuadForm(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1, 2))),
+              LinForm((0, 0)), 1, ((LinForm((1, 1)), 1),))
+    with pytest.raises(DomainError):
+        varlog_residual(t, (0.3 + 0.1j, -0.3 - 0.1j))   # z^A = 1
+
+
+def test_varlog_residual_reduces_to_the_solver_residual(battery_solved):
+    for t, pts in battery_solved:
+        for cp in pts:
+            H, m = _reduce(varlog_residual(t, cp.u))
+            assert max(abs(h) for h in H) == cp.residual_log
+            assert tuple(m) == cp.sheet
 
 
 def test_strip_and_dedup_on_battery(battery_solved):

@@ -12,18 +12,12 @@ frozen from independent derivations before the library existed:
     GROWTH      = VOLUME / (2*pi)      (= 0.3230659...)
     RADIUS      = 0.7239261119         (= e^{-GROWTH})
     RADIUS_INV  = 1.3813564445
-
-The trace-family term files shipped with the repository are used when the
-checkout layout is available; otherwise the identical terms are built in
-code (the file contents are part of the round-trip test suite, not of the
-numerics).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 import time
 
 import numpy as np
@@ -49,17 +43,7 @@ RADIUS_INV = 1.3813564445
 _cache = {}
 
 
-def _terms_dir():
-    here = os.path.dirname(os.path.abspath(__file__))
-    cand = os.path.normpath(os.path.join(here, os.pardir, os.pardir, "terms"))
-    return cand if os.path.isdir(cand) else None
-
-
 def four_one_qterm():
-    d = _terms_dir()
-    if d and os.path.exists(os.path.join(d, "four_one.json")):
-        from .io import parse_qterm
-        return parse_qterm(os.path.join(d, "four_one.json"))
     return one_variable_family(-1, 2, -1)
 
 

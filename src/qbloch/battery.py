@@ -4,8 +4,9 @@ Terms have r <= 2 (up to three log variables), symmetric integer matrices
 with entries in [-3,3], half-integral linear parts subject to the
 integrality invariant, one to three pochhammer factors, and random signs.
 Candidates are rejected when some variable enters no equation (the row of Q
-and every factor coefficient vanish — the system is then trivially
-degenerate in that direction) or when the solver finds no critical point at
+and every factor coefficient vanish once factors with equal homogeneous
+parts and opposite signs cancel — the system is then trivially degenerate
+in that direction) or when the solver finds no critical point at
 the generation budget, so every shipped term exercises the certificates.
 
 Run  python -m qbloch.battery --out <dir>  to (re)generate the shipped JSON
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -55,13 +57,15 @@ def _candidate(rng) -> QTerm:
 
 
 def _degenerate(t: QTerm) -> bool:
-    for i in range(t.nvars):
-        if any(t.Q.matrix[i]):
-            continue
-        if any(a.coeffs[i] for a, _ in t.factors):
-            continue
-        return True
-    return False
+    """Some variable enters no equation: its row of Q vanishes and so does
+    its coefficient in every factor that survives in the net signed
+    multiset (factors with equal homogeneous parts and opposite signs cancel)."""
+    net = Counter()
+    for a, s in t.factors:
+        net[a.coeffs] += s
+    live = [c for c, s in net.items() if s]
+    return any(not any(t.Q.matrix[i]) and not any(c[i] for c in live)
+               for i in range(t.nvars))
 
 
 def make_battery(count: int = BATTERY_COUNT, seed: int = BATTERY_SEED):

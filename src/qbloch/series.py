@@ -8,11 +8,14 @@ different root of unity.  Two independent evaluation modes are provided:
   zero bookkeeping: a factor 1 - q^j vanishes exactly iff n | j, so zeros are
   counted combinatorially (q-Lucas for binomials) and never left to
   floating-point cancellation.  O(n) per coefficient.
-* exact — the summand is accumulated in Z[q]/(q^n - 1) with integer
-  arithmetic (or as a full Laurent polynomial when the 1-norm is wanted) and
-  only the final evaluation at the root of unity is numeric, in mpmath with
-  precision scaled to the coefficient size.  Coefficient growth like 4^n
-  makes double precision useless here beyond n ~ 35; this is not optional.
+* exact — one integer ratio walk through the lattice points sums the
+  summands, for any term and any n.  It runs in Z[q]/(q^n - 1) when every
+  step only multiplies by factors 1 - q^j, and otherwise in Z[q], dividing
+  exactly, with the result folded mod q^n - 1 (the full Laurent polynomial
+  is what exact_polynomial returns).  Only the final evaluation at the root
+  of unity is numeric, in mpmath with precision scaled to the coefficient
+  size.  Coefficient growth like 4^n makes double precision useless here
+  beyond n ~ 35; this is not optional.
 
 Downstream: growth-rate extrapolation (Richardson in 1/n plus a polynomial
 correction fit), Pade pole extraction on a rescaled Toeplitz system, the
@@ -39,8 +42,8 @@ from .bloch import cv_set, potential
 from .errors import (AdmissibilityError, DomainError, InsufficientDataError,
                      SingularSystemError)
 from .laurent import LaurentPoly
-from .qterm import (LinForm, QTerm, QuadForm, SpecialQTerm,
-                    eval_special_exact, newton_polytope_points)
+from .qterm import LinForm, QTerm, QuadForm, SpecialQTerm, newton_polytope_points
+from .qterm import eval_special_exact  # noqa: F401  perfbench/spans.py wraps this binding
 from .solver import SolverConfig
 
 __all__ = [
@@ -144,85 +147,78 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
 
 
 # ----------------------------------------------------------------------
-# exact coefficients: integer arithmetic in Z[q]/(q^N - 1)
+# exact coefficients: one integer ratio walk
 
-_GENERAL_EXACT_CAP = 25
-
-
-def _fast_exact_path(t: SpecialQTerm) -> bool:
-    """One k'-variable, no binomial quads, D nondecreasing and E nonincreasing
-    in k': the term ratio across adjacent k' is a pure product of binomial
-    factors 1 - q^j, so the exact walk never divides."""
-    if t.r != 1:
-        return False
-    for B, C, D, E in t.quads:
-        if not (B.is_zero() and C.is_zero()):
-            return False
-        if D.coeffs[1] < 0 or E.coeffs[1] > 0:
-            return False
-    return True
+def _divide_1mq(vec, j):
+    """vec / (1 - q^j) in Z[q], when the division is exact: r[i] = p[i] + r[i-j],
+    a running sum down each residue class mod j."""
+    m = -(-len(vec) // j)
+    pad = np.concatenate((vec, np.zeros(m * j - len(vec), dtype=object)))
+    return pad.reshape(m, j).cumsum(axis=0).ravel()[:len(vec)]
 
 
-def _fold_poly(p: LaurentPoly, n: int):
-    vec = [0] * n
-    for e, c in p.items():
-        vec[e % n] += c
-    return vec
+def _walk(t: SpecialQTerm, n: int, ring: bool):
+    """Sum of t_{(n,k')} over the admissible k' by one ratio walk through the
+    lattice points, as an integer vector: (vec, origin) with the coefficient
+    of q^e at index (e - origin) % len(vec).
 
+    Each summand is q^Q eps^L prod (q)_X^{+-1} over the five factorial
+    arguments B+, C-, (B-C)-, D+, E- of every quad.  Between consecutive
+    points a factorial that grows on the numerator side or shrinks on the
+    denominator side multiplies by 1 - q^j for each j in between; every other
+    change divides.  Each step multiplies before it divides, so every
+    quotient is an integer polynomial (the next summand times the divisors
+    still to come) and r[i] = p[i] + r[i-j] divides by 1 - q^j exactly.
 
-def _walk(t: SpecialQTerm, n: int, size=None):
-    """Sum of t_{(n,k)} over admissible k by the division-free ratio walk
-    (fast path only), as an integer vector of Z[q]/(q^size - 1) with the
-    coefficient of q^e at index (e - origin) % size.  Returns (vec, origin).
-
-    size=n gives the vector whose value at q = e^{2pi*i/n} is c_n (origin 0);
-    size=None takes size above the exponent span and origin at the lowest
-    exponent, so vec holds the full Laurent polynomial."""
+    With ring=True and no dividing step the walk runs in Z[q]/(q^n - 1):
+    len(vec) = n, origin 0, and vec at q = e^{2pi*i/n} is c_n.  Otherwise it
+    runs in Z[q] on a vector that spans every intermediate product, and vec
+    holds the full Laurent polynomial from its lowest exponent."""
     pts = newton_polytope_points(t, n)
-    if pts and pts[-1][0] - pts[0][0] + 1 != len(pts):
-        raise AdmissibilityError("admissible set is not an integer interval")
     if not pts:
-        return np.zeros(size or 1, dtype=object), 0
+        return np.zeros(1, dtype=object), 0
     F, Q, L = t.point_values(n, pts)
-    D, E = F[..., 2], F[..., 3]
-    origin = 0
-    if size is None:
-        degree = ((D * (D + 1) - E * (E + 1)) // 2).sum(axis=1)
+    B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
+    # a virtual point before the first, where the product is 1:
+    # qbinom(B-C, 0) and (q)_E / (q)_E
+    start = np.concatenate((B[0] - C[0], E[0], np.zeros_like(C[0]), B[0] - C[0], E[0]))
+    X = np.vstack((start, np.concatenate((B, D, C, B - C, E), axis=1)))
+    sign = np.where(np.arange(X.shape[1]) < 2 * len(t.quads), 1, -1)
+    deg = sign * X * (X + 1) // 2      # signed degree of each (q)_X
+    step = np.diff(deg, axis=0)        # degree multiplied in (> 0) or divided out (< 0)
+    origin, size = 0, n
+    if not (ring and (step >= 0).all()):
         origin = int(Q.min())
-        size = int((Q + degree).max()) - origin + 1
+        size = int((Q + deg[1:].sum(axis=1) - step.clip(max=0).sum(axis=1)).max()) - origin + 1
     cur = np.zeros(size, dtype=object)
-    cur[-origin % size] = 1
+    cur[(int(Q[0]) - origin) % size] = 1
     acc = np.zeros(size, dtype=object)
-    # a virtual step before the first point: q^0 with the empty ratio (E, E]
-    q0, l0, d0, e0 = 0, 0, E[0].tolist(), E[0].tolist()
-    for q1, l1, d1, e1 in zip(Q.tolist(), L.tolist(), D.tolist(), E.tolist()):
-        cur = np.roll(cur, q1 - q0)
-        for da, db, ea, eb in zip(d0, d1, e0, e1):
-            for j in (*range(da + 1, db + 1), *range(eb + 1, ea + 1)):
-                cur = cur - np.roll(cur, j)          # times (1 - q^j)
-        if t.epsilon == -1 and (l1 - l0) % 2 != 0:
+    flips = (np.diff(L, prepend=0) % 2 != 0) & (t.epsilon == -1)
+    for dq, flip, s, lo, hi in zip(np.diff(Q, prepend=Q[0]).tolist(), flips.tolist(),
+                                   step.tolist(), np.minimum(X[:-1], X[1:]).tolist(),
+                                   np.maximum(X[:-1], X[1:]).tolist()):
+        cur = np.roll(cur, dq)
+        for d, a, b in zip(s, lo, hi):
+            if d > 0:
+                for j in range(a + 1, b + 1):
+                    cur = cur - np.roll(cur, j)          # times (1 - q^j)
+        for d, a, b in zip(s, lo, hi):
+            if d < 0:
+                for j in range(a + 1, b + 1):
+                    cur = _divide_1mq(cur, j)
+        if flip:
             cur = -cur
         acc = acc + cur
-        q0, l0, d0, e0 = q1, l1, d1, e1
     return acc, origin
 
 
 def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
     """The n-th Laurent polynomial of the sequence, exactly (integer
-    coefficients, no root-of-unity reduction)."""
+    coefficients, no root-of-unity reduction), from the ratio walk in Z[q]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if _fast_exact_path(t):
-        vec, origin = _walk(t, n)
-        return LaurentPoly({origin + i: c for i, c in enumerate(vec.tolist()) if c})
-    if n > _GENERAL_EXACT_CAP:
-        raise ValueError(
-            f"exact mode for terms outside the product-only fast path is "
-            f"capped at n <= {_GENERAL_EXACT_CAP} (got {n})")
-    acc = LaurentPoly.zero()
-    for kp in newton_polytope_points(t, n):
-        acc = acc + eval_special_exact(t, (n,) + kp)
-    return acc
+    vec, origin = _walk(t, n, ring=False)
+    return LaurentPoly({origin + i: c for i, c in enumerate(vec.tolist()) if c})
 
 
 def _eval_ring_mp(vec, n) -> complex:
@@ -241,11 +237,10 @@ def _eval_ring_mp(vec, n) -> complex:
 
 
 def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
-    if _fast_exact_path(t):
-        vec = _walk(t, n, n)[0].tolist()
-    else:
-        vec = _fold_poly(exact_polynomial(t, n), n)
-    return _eval_ring_mp(vec, n)
+    vec, origin = _walk(t, n, ring=True)
+    folded = np.zeros(n, dtype=object)
+    np.add.at(folded, (origin + np.arange(len(vec))) % n, vec)   # q^n = 1
+    return _eval_ring_mp(folded.tolist(), n)
 
 
 def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:

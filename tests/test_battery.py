@@ -1,8 +1,11 @@
 import json
 import os
 
-from qbloch.battery import BATTERY_COUNT, BATTERY_SEED, main, make_battery
+from fractions import Fraction
+
+from qbloch.battery import BATTERY_COUNT, BATTERY_SEED, _degenerate, main, make_battery
 from qbloch.io import parse_qterm, serialize_qterm
+from qbloch.qterm import LinForm, QTerm, QuadForm
 
 BATTERY_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "terms", "battery")
 
@@ -40,3 +43,12 @@ def test_seed_sensitivity():
     other = make_battery(count=5, seed=BATTERY_SEED + 1)
     base = make_battery(count=5)
     assert [serialize_qterm(t) for t in other] != [serialize_qterm(t) for t in base]
+
+
+def test_cancelling_factors_are_degenerate():
+    """(q)_{k0+2k1} over (q)_{k0+2k1+1}: u_1 enters no equation even though
+    both factors carry it, because their homogeneous parts cancel."""
+    Q = QuadForm(((1, 0), (0, 0)), (Fraction(1, 2), 0))
+    a = ((LinForm((1, 2)), 1), (LinForm((1, 2), 1), -1))
+    assert _degenerate(QTerm(1, Q, LinForm((0, 0)), 1, a))
+    assert not _degenerate(QTerm(1, Q, LinForm((0, 0)), 1, a[:1]))

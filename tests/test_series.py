@@ -5,11 +5,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbloch import series
 from qbloch.errors import DomainError, InsufficientDataError, SingularSystemError
-from qbloch.laurent import norm1
-from qbloch.qterm import (LinForm, QuadForm, SpecialQTerm, four_one_special,
-                          newton_polytope_points, one_variable_family)
+from qbloch.laurent import LaurentPoly, norm1
+from qbloch.qterm import (LinForm, QuadForm, SpecialQTerm, eval_special_exact,
+                          four_one_special, newton_polytope_points,
+                          one_variable_family)
 from qbloch.series import (ConjectureConfig, SeriesData, check_conjecture,
                            crosscheck_exact_numeric, empirical_potential_defect,
                            exact_polynomial, growth_rate, kashaev_41_oracle,
@@ -192,8 +195,8 @@ def test_laplace_ratio_check(t41):
 
 
 def _corpus():
-    """Hand-written special terms for the general exact path and the variants
-    of the fast path; k = (n, k') throughout."""
+    """Hand-written special terms: walks that divide (binomial quads, E
+    increasing, r = 2) and walks that only multiply; k = (n, k') throughout."""
     z1, z2 = LinForm((0, 0)), LinForm((0, 0, 0))
     kashaev = (z1, z1, LinForm((1, 1)), LinForm((1, 0)))       # (q)_{n+k}/(q)_n
     q_nk = QuadForm(((0, -1), (-1, 0)), (0, 0))                  # -n k
@@ -232,12 +235,74 @@ def _corpus():
 CORPUS = _corpus()
 
 
+def _reference_polynomial(t, n):
+    """a_n summed point by point from eval_special_exact, outside the walk."""
+    acc = LaurentPoly.zero()
+    for kp in newton_polytope_points(t, n):
+        acc = acc + eval_special_exact(t, (n,) + kp)
+    return acc
+
+
+def _assert_exact_matches_numeric(t, ns):
+    for n in ns:
+        e, x = series._coeff_exact(t, n), series._coeff_numeric(t, n)
+        assert abs(e - x) <= 1e-8 * (1 + abs(e)), n
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["four_one"])
+def test_corpus_walk_matches_pointwise_reference(name):
+    t = CORPUS.get(name) or four_one_special()
+    for n in range(0, 19):
+        assert exact_polynomial(t, n) == _reference_polynomial(t, n), n
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_exact_mode_matches_numeric(name):
     t = CORPUS[name]
-    se, sn = sequence(t, 18, "exact"), sequence(t, 18, "numeric")
-    for n in range(1, 19):
+    se, sn = sequence(t, 25, "exact"), sequence(t, 25, "numeric")
+    for n in range(1, 26):
         assert abs(se.c(n) - sn.c(n)) <= 1e-8 * (1 + abs(se.c(n))), n
+
+
+def test_exact_mode_past_n_25_on_a_dividing_walk():
+    _assert_exact_matches_numeric(CORPUS["binomial"], [40])
+
+
+def _special_terms():
+    """r = 1 special terms built from quads whose admissible k' lie in
+    [0, n] up to the affine constants: a q-binomial (the walk divides), a
+    factorial ratio with E increasing (divides), and the two fast-path
+    shapes D increasing / E decreasing (multiplies only); random Q, L, eps."""
+    c = st.integers(0, 2)
+    z = LinForm((0, 0))
+    kinds = {
+        "binomial": lambda a, b: (LinForm((1, 0), a), LinForm((0, 1), b), z, z),
+        "e_increasing": lambda a, b: (z, z, LinForm((1, 0), a), LinForm((0, 1), b)),
+        "e_decreasing": lambda a, b: (z, z, LinForm((1, 0), a), LinForm((1, -1), b)),
+        "d_increasing": lambda a, b: (z, z, LinForm((1, 1), a), LinForm((1, 0), b)),
+    }
+    # d_increasing alone leaves k' unbounded above
+    shapes = st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=2).filter(
+        lambda ks: ks != ["d_increasing"] * len(ks))
+    m = st.integers(-2, 2)
+
+    @st.composite
+    def term(draw):
+        m00, m01, m11 = draw(m), draw(m), draw(m)
+        ql = [Fraction(draw(m)) + Fraction(x % 2, 2) for x in (m00, m11)]
+        return SpecialQTerm(
+            1, QuadForm(((m00, m01), (m01, m11)), ql),
+            LinForm((draw(m), draw(m)), draw(c)), draw(st.sampled_from([1, -1])),
+            tuple(kinds[k](draw(c), draw(c)) for k in draw(shapes)))
+    return term()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_special_terms())
+def test_random_terms_walk_matches_reference_and_numeric(t):
+    for n in range(0, 13):
+        assert exact_polynomial(t, n) == _reference_polynomial(t, n), n
+    _assert_exact_matches_numeric(t, range(1, 13))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

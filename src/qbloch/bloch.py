@@ -91,27 +91,17 @@ class CVSet:
                 "values": [[v.real, v.imag] for v in self.values]}
 
 
-def _merge_plain(pairs):
+def _merge(pairs, key):
+    """Sum the multiplicities of pairs (x, m) whose x share key(x); drop
+    zeros; order by key."""
     acc = {}
     val = {}
-    for z, m in pairs:
-        k = _zkey(z)
+    for x, m in pairs:
+        k = key(x)
         acc[k] = acc.get(k, 0) + m
-        val.setdefault(k, z)
+        val.setdefault(k, x)
     out = [(val[k], m) for k, m in acc.items() if m != 0]
-    out.sort(key=lambda t: _zkey(t[0]))
-    return tuple(out)
-
-
-def _merge_ext(pairs):
-    acc = {}
-    val = {}
-    for pt, m in pairs:
-        k = _zkey(pt.z) + (pt.p, pt.q)
-        acc[k] = acc.get(k, 0) + m
-        val.setdefault(k, pt)
-    out = [(val[k], m) for k, m in acc.items() if m != 0]
-    out.sort(key=lambda t: _zkey(t[0].z) + (t[0].p, t[0].q))
+    out.sort(key=lambda t: key(t[0]))
     return tuple(out)
 
 
@@ -126,7 +116,7 @@ def beta(t: QTerm, z) -> BlochElement:
         raise NotOnVarietyError(
             f"point is not on the variational variety: residual {r:.3e} > {_BETA_TOL:.1e}")
     z = [complex(x) for x in z]
-    return BlochElement(_merge_plain([(_zpow(a.coeffs, z), s) for a, s in t.factors]))
+    return BlochElement(_merge([(_zpow(a.coeffs, z), s) for a, s in t.factors], _zkey))
 
 
 def beta_hat(t: QTerm, cp) -> ExtBlochElement:
@@ -153,7 +143,7 @@ def beta_hat(t: QTerm, cp) -> ExtBlochElement:
         if pt0 is not None:
             pairs.append((deck_shift(pt0, 0, shift), 1))
             pairs.append((pt0, -1))
-    return ExtBlochElement(_merge_ext(pairs))
+    return ExtBlochElement(_merge(pairs, lambda pt: _zkey(pt.z) + (pt.p, pt.q)))
 
 
 def potential(t: QTerm, u, eps_branch: int = 0) -> ModZ1Value:

@@ -73,10 +73,6 @@ class RunConfig:
             bad.append(f"format must be json or csv, not {self.format!r}")
         if self.format == "csv" and self.command not in ("seq",):
             bad.append("csv output is only defined for seq")
-        if self.starts < 1:
-            bad.append("--starts must be >= 1")
-        if not self.tol > 0:
-            bad.append("--tol must be positive")
         if bad:
             raise ConfigError("; ".join(bad))
 
@@ -232,15 +228,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="dilogarithm variational solver and series singularity probe")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, needs_input=True, seqlike=False):
+    def add(name, help_, solves=False, seqlike=False):
         p = sub.add_parser(name, help=help_)
-        if needs_input:
-            p.add_argument("input", help="term file (JSON)")
-        p.add_argument("--starts", type=int, default=120,
-                       help="number of random starts for the solver")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="solver convergence tolerance")
+        p.add_argument("input", help="term file (JSON)")
+        if solves:
+            p.add_argument("--starts", type=int, default=120,
+                           help="number of random starts for the solver")
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="solver convergence tolerance")
         if seqlike:
             p.add_argument("--n-max", dest="n_max", type=int, default=0,
                            help="highest coefficient index")
@@ -251,16 +247,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="artifact format (seq defaults to csv)")
         return p
 
-    add("solve", "critical points of the variational equations")
-    add("bloch", "extended elements and regulator values")
-    add("cv", "critical-value set")
+    add("solve", "critical points of the variational equations", solves=True)
+    add("bloch", "extended elements and regulator values", solves=True)
+    add("cv", "critical-value set", solves=True)
     add("seq", "coefficient sequence", seqlike=True)
     add("sing", "growth rate and Pade poles", seqlike=True)
     p = add("check", "singularity/critical-value consistency report",
-            seqlike=True)
+            solves=True, seqlike=True)
     p.add_argument("--cv-from", dest="cv_from", default="",
                    help="JSON file with externally supplied critical values")
-    add("selftest", "run the acceptance battery", needs_input=False)
+    sub.add_parser("selftest", help="run the acceptance battery")
     return ap
 
 
@@ -276,17 +272,8 @@ def main(argv=None) -> int:
                           "message": "invalid command line",
                           "violations": []}), file=sys.stderr)
         return 1
-    cfg = RunConfig(command=ns.command,
-                    input_path=getattr(ns, "input", ""),
-                    n_max=getattr(ns, "n_max", 0),
-                    tol=ns.tol,
-                    starts=ns.starts,
-                    seed=ns.seed,
-                    mode=getattr(ns, "mode", "numeric"),
-                    output=ns.output,
-                    format=ns.format,
-                    cv_from=getattr(ns, "cv_from", ""))
-    return run(cfg)
+    opts = vars(ns)   # only the flags this command registers
+    return run(RunConfig(input_path=opts.pop("input", ""), **opts))
 
 
 if __name__ == "__main__":

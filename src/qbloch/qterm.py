@@ -120,10 +120,6 @@ class QuadForm:
     def nvars(self):
         return len(self.matrix)
 
-    def row(self, i):
-        """Homogeneous row Q_i (the linear form sum_m M[i][m]*k_m)."""
-        return self.matrix[i]
-
     def __call__(self, k):
         k = [int(x) for x in k]
         tot = Fraction(sum(self.matrix[i][j] * k[i] * k[j]
@@ -205,10 +201,9 @@ class SpecialQTerm:
     is nonempty and compact, and caches rational coordinate bounds for an
     inflated copy of P that provably contains every affinely admissible
     k'/n for n >= 1, and for the admissible k' at n = 0 — the enumeration
-    boxes used by newton_polytope_points.  It also
-    compiles the integer data once, for point_values: one int64 matrix whose
-    rows are each quad's B, C, D, E, then L, then 2*QL and M, each with its
-    affine constant in the last column.
+    boxes that lattice(n) enumerates.  It also compiles the integer data
+    once: one int64 matrix whose rows are each quad's B, C, D, E, then L,
+    then 2*QL and M, each with its affine constant in the last column.
     """
 
     r: int
@@ -248,17 +243,34 @@ class SpecialQTerm:
     def admissible(self, k):
         return all(f(k) >= 0 for f in self.inequality_forms())
 
-    def point_values(self, n, kp):
-        """Integer data at k = (n, k') for each of the P points k' in kp (r
-        integers each): (F, Q, L) with F[p, j] = (B_j, C_j, D_j, E_j)(k) of
-        shape (P, len(quads), 4), Q[p] = Q(k) and L[p] = L(k)."""
-        kp = np.asarray(kp, dtype=np.int64).reshape(len(kp), self.r)
+    def lattice(self, n):
+        """The admissible k = (n, k') with k' in N^r, from one matrix product
+        over the enumeration box: int64 arrays (kp, F, Q, L), the points k'
+        of shape (P, r) in lexicographic order, F[p, j] = (B_j, C_j, D_j,
+        E_j)(k) of shape (P, len(quads), 4), Q[p] = Q(k) and L[p] = L(k).
+
+        The box is the cached bounding box of the inflated scaling polytope
+        dilated by n (at n = 0, the box of the k'-parts of the forms), so
+        this is exactly the support of the n-th coefficient."""
+        n = int(n)
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        box = self._box0 if n == 0 else [(lo * n, hi * n) for lo, hi in self._box]
+        lows = [max(0, math.ceil(lo)) for lo, _ in box]
+        shape = [max(0, math.floor(hi) - a + 1) for (_, hi), a in zip(box, lows)]
+        # lows as an int64 array: adding an empty list (r = 0) gives float64
+        kp = (np.indices(shape, dtype=np.int64).reshape(self.r, math.prod(shape)).T
+              + np.array(lows, dtype=np.int64))
         k = np.column_stack((np.full(len(kp), n, dtype=np.int64), kp,
                              np.ones(len(kp), dtype=np.int64)))
         v = k @ self._rows.T
         f = 4 * len(self.quads)
+        F = v[:, :f].reshape(len(kp), len(self.quads), 4)
+        B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
+        ok = ((B >= C) & (C >= 0) & (D >= E) & (E >= 0)).all(axis=1)
+        k, v = k[ok], v[ok]
         Q = (v[:, f + 1] + (v[:, f + 2:] * k[:, :-1]).sum(axis=1)) // 2
-        return v[:, :f].reshape(len(kp), len(self.quads), 4), Q, v[:, f]
+        return kp[ok], F[ok], Q, v[:, f]
 
     def to_json_obj(self):
         return {"r": self.r,
@@ -467,30 +479,10 @@ def _validate_polytope(t: SpecialQTerm):
 
 
 def newton_polytope_points(t: SpecialQTerm, n):
-    """Lattice points k' in N^r with k = (n, k') admissible for t.
-
-    Enumerates the (exact, cached) bounding box of the inflated scaling
-    polytope dilated by n (at n = 0, the cached box of the k'-parts of the
-    forms), then filters with the full affine inequalities; by
-    construction this is exactly the support of the n-th coefficient.  The
-    points come in lexicographic order.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lows, shape = [], []
-    for lo, hi in (t._box0 if n == 0 else [(lo * n, hi * n) for lo, hi in t._box]):
-        a = max(0, math.ceil(lo))
-        b = math.floor(hi)
-        if b < a:
-            return []
-        lows.append(a)
-        shape.append(b - a + 1)
-    box = np.indices(shape, dtype=np.int64).reshape(t.r, math.prod(shape)).T + lows
-    F, _, _ = t.point_values(n, box)
-    B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
-    ok = ((B >= C) & (C >= 0) & (D >= E) & (E >= 0)).all(axis=1)
-    return [tuple(kp) for kp in box[ok].tolist()]
+    """Lattice points k' in N^r with k = (n, k') admissible for t, as a
+    lexicographically ordered list of tuples: the point view of
+    t.lattice(n)."""
+    return [tuple(p) for p in t.lattice(n)[0].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The sequence attached to a special term is c_n = sum over admissible lattice
 points k' of t_{(n,k')}(e^{2pi*i/n}) — each coefficient samples the term at a
-different root of unity.  Two independent evaluation modes are provided:
+different root of unity.  SpecialQTerm.lattice(n) gives the admissible
+points of each n together with their form values, Q and L, from one matrix
+product, and the two independent evaluation modes take those arrays:
 
 * numeric — factors are evaluated directly at the root of unity, with exact
   zero bookkeeping: a factor 1 - q^j vanishes exactly iff n | j, so zeros are
@@ -23,8 +25,10 @@ root-of-unity factorial asymptotics, the empirical potential comparison, the
 independent Laplace term-ratio derivation of the variational equations, and
 the singularity-vs-critical-value report.
 
-Double-precision range bounds the numeric mode near n ~ 2000 for terms with
-unit growth rates; the shipped diagnostics stay well inside that.
+Double precision bounds both modes (exact mode converts its mpmath value to
+complex): for the built-in term near n ~ 2190.  sequence raises
+OverflowError at the first c_n that is not finite, and check_conjecture
+turns that into an inconclusive note.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from .bloch import cv_set, potential
 from .errors import (AdmissibilityError, DomainError, InsufficientDataError,
                      SingularSystemError)
 from .laurent import LaurentPoly
-from .qterm import LinForm, QTerm, QuadForm, SpecialQTerm, newton_polytope_points
-from .qterm import eval_special_exact  # noqa: F401  perfbench/spans.py wraps this binding
+from .qterm import LinForm, QTerm, QuadForm, SpecialQTerm
+# bound for perfbench/spans.py, which wraps them here; series calls neither
+from .qterm import eval_special_exact, newton_polytope_points  # noqa: F401
 from .solver import SolverConfig
 
 __all__ = [
@@ -118,10 +123,7 @@ def _term_id(t: SpecialQTerm) -> str:
 # numeric coefficients: exact zero bookkeeping at the root of unity
 
 def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
-    pts = newton_polytope_points(t, n)
-    if not pts:
-        return 0.0 + 0.0j
-    F, Q, L = t.point_values(n, pts)
+    _, F, Q, L = t.lattice(n)
     b, c, d, e = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
     m_max = int(F.max(initial=0))
     powz = np.exp(2j * np.pi * np.arange(n) / n)
@@ -135,7 +137,7 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
     # q-binomial at the root of unity (q-Lucas): zero iff the zero counts
     # don't balance, else binom of the quotients times the nonvanishing
     # partial products; (q)_d / (q)_e as the polynomial prod_{j=e+1}^{d} (1-q^j)
-    val = np.ones(len(pts), dtype=complex)
+    val = np.ones(len(Q), dtype=complex)
     for j in range(len(t.quads)):
         val *= binom[zb[:, j], zc[:, j]] * NP[b[:, j]] / (NP[c[:, j]] * NP[b[:, j] - c[:, j]])
         val *= NP[d[:, j]] / NP[e[:, j]]
@@ -159,8 +161,8 @@ def _divide_1mq(vec, j):
 
 def _walk(t: SpecialQTerm, n: int, ring: bool):
     """Sum of t_{(n,k')} over the admissible k' by one ratio walk through the
-    lattice points, as an integer vector: (vec, origin) with the coefficient
-    of q^e at index (e - origin) % len(vec).
+    lattice points (in snake order when r >= 2), as an integer vector:
+    (vec, origin) with the coefficient of q^e at index (e - origin) % len(vec).
 
     Each summand is q^Q eps^L prod (q)_X^{+-1} over the five factorial
     arguments B+, C-, (B-C)-, D+, E- of every quad.  Between consecutive
@@ -174,10 +176,15 @@ def _walk(t: SpecialQTerm, n: int, ring: bool):
     len(vec) = n, origin 0, and vec at q = e^{2pi*i/n} is c_n.  Otherwise it
     runs in Z[q] on a vector that spans every intermediate product, and vec
     holds the full Laurent polynomial from its lowest exponent."""
-    pts = newton_polytope_points(t, n)
-    if not pts:
+    kp, F, Q, L = t.lattice(n)
+    if not len(kp):
         return np.zeros(1, dtype=object), 0
-    F, Q, L = t.point_values(n, pts)
+    if t.r >= 2:
+        # snake order: the last coordinate runs backwards on every other
+        # row, so consecutive points stay neighbours and steps stay short
+        last = np.where(kp[:, :-1].sum(axis=1) % 2, -kp[:, -1], kp[:, -1])
+        order = np.lexsort(np.vstack((last, kp[:, -2::-1].T)))
+        F, Q, L = F[order], Q[order], L[order]
     B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
     # a virtual point before the first, where the product is 1:
     # qbinom(B-C, 0) and (q)_E / (q)_E
@@ -244,14 +251,21 @@ def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
 
 
 def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
-    """c_n for n = 1..n_max, one n at a time."""
+    """c_n for n = 1..n_max, one n at a time.  Raises OverflowError at the
+    first c_n that is not finite in double precision (either mode)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if mode not in ("numeric", "exact"):
         raise ValueError(f"mode must be 'numeric' or 'exact', got {mode!r}")
     f = _coeff_numeric if mode == "numeric" else _coeff_exact
-    coeffs = tuple(f(t, n) for n in range(1, n_max + 1))
-    return SeriesData(coeffs, 1, n_max, mode, _term_id(t))
+    coeffs = []
+    for n in range(1, n_max + 1):
+        c = f(t, n)
+        if not cmath.isfinite(c):
+            raise OverflowError(f"c_{n} = {c} is not finite in double precision "
+                                f"({mode} mode)")
+        coeffs.append(c)
+    return SeriesData(tuple(coeffs), 1, n_max, mode, _term_id(t))
 
 
 def crosscheck_exact_numeric(t: SpecialQTerm, n: int) -> float:
@@ -476,7 +490,12 @@ def check_conjecture(t: SpecialQTerm, cfg: ConjectureConfig = None) -> Conjectur
         except (ValueError, ArithmeticError) as exc:
             cv_vals = ()
             notes.append(f"critical-value computation failed: {exc}")
-    s = sequence(t, cfg.n_max, cfg.mode)
+    try:
+        s = sequence(t, cfg.n_max, cfg.mode)
+    except OverflowError as exc:
+        notes.append(f"sequence: {exc}")
+        return ConjectureReport("inconclusive", cv_vals, None, None, None,
+                                None, (), (), tuple(notes), diagnostics)
     est = None
     try:
         est = growth_rate(s)

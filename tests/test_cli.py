@@ -129,6 +129,18 @@ def test_csv_only_for_seq(capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_solver_flags_checked_by_the_solver_config(capsys):
+    code, _, err = _run(capsys, "solve", FOUR_ONE, "--starts", "0")
+    assert code == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_solver_flags_rejected_where_nothing_solves(capsys):
+    code, _, err = _run(capsys, "seq", SPECIAL, "--n-max", "3", "--starts", "5")
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "UsageError"
+
+
 def test_numerical_failure_exits_2(capsys, monkeypatch):
     def boom(cfg):
         raise SingularSystemError("degenerate system")

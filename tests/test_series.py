@@ -174,6 +174,26 @@ def test_check_conjecture_rejects_wrong_cv():
     assert "critical values supplied externally" in rep.notes
 
 
+def _overflowing_term():
+    """The built-in term's two quads six times over: |c_n| grows roughly
+    like e^{2n}, and c_348 is the first coefficient past double precision."""
+    t = four_one_special()
+    return SpecialQTerm(1, t.Q, t.L, 1, t.quads * 6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sequence_raises_on_the_first_non_finite_coefficient():
+    with pytest.raises(OverflowError, match=r"c_348 = "):
+        sequence(_overflowing_term(), 350)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_check_conjecture_reports_overflow_as_inconclusive():
+    rep = check_conjecture(_overflowing_term(), ConjectureConfig(n_max=350))
+    assert rep.verdict == "inconclusive" and rep.radius is None
+    assert any(n.startswith("sequence: c_348 = ") for n in rep.notes)
+
+
 def test_qfactorial_asymptotics_converges():
     d1 = qfactorial_asymptotics_defect(Fraction(1, 3), 300)
     d2 = qfactorial_asymptotics_defect(Fraction(1, 3), 1200)
@@ -197,7 +217,7 @@ def test_laplace_ratio_check(t41):
 def _corpus():
     """Hand-written special terms: walks that divide (binomial quads, E
     increasing, r = 2) and walks that only multiply; k = (n, k') throughout."""
-    z1, z2 = LinForm((0, 0)), LinForm((0, 0, 0))
+    z0, z1, z2 = LinForm((0,)), LinForm((0, 0)), LinForm((0, 0, 0))
     kashaev = (z1, z1, LinForm((1, 1)), LinForm((1, 0)))       # (q)_{n+k}/(q)_n
     q_nk = QuadForm(((0, -1), (-1, 0)), (0, 0))                  # -n k
     return {
@@ -229,6 +249,9 @@ def _corpus():
             1, q_nk, LinForm((1, 1), 1), -1,
             ((z1, z1, LinForm((1, 1), 1), LinForm((1, 0), 1)),
              (z1, z1, LinForm((1, 0), -1), LinForm((1, -1), -2)))),
+        # (q)_{n-1} alone, r = 0: one point k' = () for n >= 1, c_n = n
+        "rank0": SpecialQTerm(
+            0, QuadForm(((0,),), (0,)), z0, 1, ((z0, z0, LinForm((1,), -1), z0),)),
     }
 
 
@@ -262,6 +285,14 @@ def test_corpus_exact_mode_matches_numeric(name):
     se, sn = sequence(t, 25, "exact"), sequence(t, 25, "numeric")
     for n in range(1, 26):
         assert abs(se.c(n) - sn.c(n)) <= 1e-8 * (1 + abs(se.c(n))), n
+
+
+def test_rank0_closed_form():
+    t = CORPUS["rank0"]
+    for mode in ("numeric", "exact"):
+        s = sequence(t, 25, mode)
+        for n in range(1, 26):
+            assert abs(s.c(n) - n) <= 1e-9 * n, (mode, n)
 
 
 def test_exact_mode_past_n_25_on_a_dividing_walk():
@@ -312,3 +343,8 @@ def test_corpus_lattice_points_match_brute_force(name):
         box = product(range(3 * n + 4), repeat=t.r)
         want = [kp for kp in box if t.admissible((n,) + kp)]
         assert newton_polytope_points(t, n) == want, n
+        ks = [(n,) + kp for kp in want]
+        kp, F, Q, L = t.lattice(n)
+        assert all(a.dtype == np.int64 for a in (kp, F, Q, L)), n
+        assert F.tolist() == [[[f(k) for f in quad] for quad in t.quads] for k in ks], n
+        assert (Q.tolist(), L.tolist()) == ([t.Q(k) for k in ks], [t.L(k) for k in ks]), n

@@ -152,13 +152,19 @@ def _check_shapes(r, Q, L, forms):
 
 @dataclass(frozen=True)
 class QTerm:
-    """General q-term: q^{Q(k)} eps^{L(k)} prod_j (q)_{A_j(k)}^{sign_j}."""
+    """General q-term: q^{Q(k)} eps^{L(k)} prod_j (q)_{A_j(k)}^{sign_j}.
+
+    Construction compiles the homogeneous integer data once, as float64
+    arrays (exact: the entries are small integers) (Q, A, sA, vL): the
+    matrix of Q (n x n), the factor rows A_j and s_j * A_j (each f x n), and
+    the coefficients of L (n)."""
 
     r: int
     Q: QuadForm
     L: LinForm
     epsilon: int
     factors: tuple  # of (LinForm, sign)
+    _arrays: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors",
@@ -169,6 +175,11 @@ class QTerm:
             if s not in (1, -1):
                 raise ValueError(f"factor sign must be +-1, got {s}")
         _check_shapes(self.r, self.Q, self.L, [a for a, _ in self.factors])
+        A = np.array([a.coeffs for a, _ in self.factors], dtype=float).reshape(-1, self.nvars)
+        signs = np.array([s for _, s in self.factors], dtype=float)
+        object.__setattr__(self, "_arrays", (np.array(self.Q.matrix, dtype=float), A,
+                                             signs[:, None] * A,
+                                             np.array(self.L.coeffs, dtype=float)))
 
     @property
     def nvars(self):

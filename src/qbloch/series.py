@@ -145,7 +145,8 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
     val = np.where(zero, 0.0, val) * powz[Q % n]
     if t.epsilon == -1:
         val = np.where(L % 2 != 0, -val, val)
-    return complex(val.sum())
+    with np.errstate(over="ignore", invalid="ignore"):   # sequence raises on a non-finite c_n
+        return complex(val.sum())
 
 
 # ----------------------------------------------------------------------

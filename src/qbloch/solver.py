@@ -16,6 +16,15 @@ m; it is a genuine critical point of some branch of the potential iff
 m = -h * v(L) for an integer h (the Log(eps) + 2*pi*i*h ambiguity), recorded
 as eps_branch/is_critical.  Points failing that test still solve the
 multiplicative system and are kept, flagged not dropped.
+
+The multistart is one batch (_newton): the starts are the rows of one
+(starts, n) complex array, and each Newton step evaluates the system, its
+lattice reduction, the stacked Jacobians and their solves for all live rows
+in one numpy pass.  Every row keeps the rules it would follow alone; they
+are applied as masks.  The iterates the rows end on are wrapped into the
+strip and deduplicated in start order *before* _finish_point validates
+them, so only new points are finished.  The accepted set is the one that
+finishing first would give, since a duplicate is skipped either way.
 """
 
 from __future__ import annotations
@@ -61,34 +70,33 @@ def _zpow(coeffs, z):
     return w
 
 
-def _system(t, u, le):
-    """(raw varlog vector, zeta) at log coordinates u, zeta_j = e^{A_j(u)};
-    None if some zeta_j lies in {0, 1} (within _UNIT_TOL)."""
-    n = t.nvars
-    zeta = []
-    logs = []
-    for a, _ in t.factors:
-        w = cmath.exp(a.homog(u))
-        d = 1.0 - w
-        if abs(d) < _UNIT_TOL or abs(w) < _UNIT_TOL:
-            return None
-        zeta.append(w)
-        logs.append(cmath.log(complex(d.real, d.imag + 0.0)))
-    out = []
-    for i in range(n):
-        v = sum(t.Q.matrix[i][m] * u[m] for m in range(n))
-        v += le * t.L.coeffs[i]
-        for (a, s), lg in zip(t.factors, logs):
-            if a.coeffs[i]:
-                v += s * a.coeffs[i] * lg
-        out.append(v)
-    return out, zeta
+def _system(t, U, le):
+    """The system at the rows of U (log coordinates, shape (S, n)):
+    (ok, V, W, D), where ok masks the rows on which no factor value
+    w_j = e^{A_j(u)} lies in {0, 1} (within _UNIT_TOL) and, on those rows
+    only, V is the raw varlog array, W the factor values and D = 1 - W."""
+    Qm, A, sA, vL = t._arrays
+    W = np.exp(U @ A.T)
+    D = 1.0 - W
+    ok = ~((np.abs(D) < _UNIT_TOL) | (np.abs(W) < _UNIT_TOL)).any(axis=1)
+    W, D = W[ok], D[ok]
+    V = U[ok] @ Qm.T + le * vL + np.log(D + 0.0) @ sA   # + 0.0: Im -0.0 -> +0.0
+    return ok, V, W, D
 
 
-def _reduce(v):
-    """(H, m) with H_i = v_i - 2*pi*i*m_i and m_i = round(Im v_i / 2pi)."""
-    m = [round(x.imag / TWO_PI) for x in v]
-    return [x - complex(0.0, TWO_PI * k) for x, k in zip(v, m)], m
+def _reduce(V):
+    """(H, m) with H = V - 2*pi*i*m and m = round(Im V / 2pi), elementwise."""
+    m = np.round(V.imag / TWO_PI)
+    H = V.copy()
+    H.imag -= TWO_PI * m
+    return H, m
+
+
+def _jacobian(t, W, D):
+    """The Jacobians dH/du of the rows with factor values W (D = 1 - W),
+    stacked: shape (S, n, n)."""
+    Qm, A, sA, _ = t._arrays
+    return Qm - np.einsum("sj,ji,jm->sim", W / D, sA, A)
 
 
 def var_residual(t: QTerm, z) -> float:
@@ -134,10 +142,10 @@ def varlog_residual(t: QTerm, u):
     for i, x in enumerate(u):
         if abs(cmath.exp(x) - 1.0) < _UNIT_TOL:
             raise DomainError(f"e^u[{i}] = 1")
-    state = _system(t, u, log_eps(t.epsilon))
-    if state is None:
+    ok, V, _, _ = _system(t, np.array([u]), log_eps(t.epsilon))
+    if not ok[0]:
         raise DomainError("some z^A hits {0,1}")
-    return state[0]
+    return V[0]
 
 
 def branch_integer(u, A: LinForm) -> int:
@@ -224,85 +232,100 @@ class CriticalPoint:
         }
 
 
-def _jacobian(t, zeta, n):
-    J = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for mm in range(n):
-            acc = complex(t.Q.matrix[i][mm])
-            for (a, s), w in zip(t.factors, zeta):
-                if a.coeffs[i] and a.coeffs[mm]:
-                    acc += s * a.coeffs[i] * (-a.coeffs[mm]) * w / (1.0 - w)
-            J[i, mm] = acc
-    return J
-
-
-def _newton_from(t, u0, cfg, le):
-    n = t.nvars
-    u = list(u0)
-    for _ in range(_MAX_ITER):
-        if any(abs(x.real) > _RE_MAX for x in u):
-            return None
-        state = _system(t, u, le)
-        if state is None:
-            return None
-        v, zeta = state
-        H, _ = _reduce(v)
-        hmax = max(abs(h) for h in H)
-        if hmax < 1e-13:
-            return u
-        if n == 1:
-            j00 = _jacobian(t, zeta, 1)[0, 0]
-            if j00 == 0:
-                return u if hmax < cfg.newton_tol else None
-            delta = [-H[0] / j00]
-        else:
-            J = _jacobian(t, zeta, n)
-            rhs = -np.array(H, dtype=complex)
+def _solve(J, rhs):
+    """Newton steps J delta = rhs for a stack; when some matrix is singular,
+    row by row, with least squares on the singular ones."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for i, (j, b) in enumerate(zip(J, rhs)):
             try:
-                delta = np.linalg.solve(J, rhs)
+                out[i] = np.linalg.solve(j, b)
             except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        step = max(abs(d) for d in delta)
-        if step > 2.0:
-            delta = [d * (2.0 / step) for d in delta]
-        u = [x + d for x, d in zip(u, delta)]
-        if step < 1e-14:    # stagnation: hand the iterate to the residual gate
-            return u
-    return None
+                out[i] = np.linalg.lstsq(j, b, rcond=None)[0]
+        return out
 
 
-def _wrap_strip(u):
-    out = []
-    for x in u:
-        k = round(x.imag / TWO_PI)
-        im = x.imag - TWO_PI * k
-        if im <= -math.pi:
-            im += TWO_PI
-        elif im > math.pi:
-            im -= TWO_PI
-        out.append(complex(x.real, im))
+def _newton(t, U, tol, le):
+    """Run every start (row of U) through Newton, all live rows in one numpy
+    pass per step.  Returns (ends, out): ends masks the starts that end on
+    an iterate, and out[ends] are those iterates, in start order.
+
+    Each row follows its own rules: it is dropped once some |Re u_i| exceeds
+    _RE_MAX, some factor value hits {0, 1}, its step is not finite, or it
+    runs out of _MAX_ITER steps; it ends when its reduced residual is below
+    1e-13, after a step shorter than 1e-14 (stagnation: the residual gate in
+    _finish_point decides), or, for n = 1 with a zero derivative, when the
+    residual is below tol.  Steps longer than 2 are scaled down to 2."""
+    n = t.nvars
+    live = np.arange(len(U))
+    ends = np.full(len(U), False)
+    out = np.empty_like(U)
+
+    def end(mask):
+        ends[live[mask]] = True
+        out[live[mask]] = U[mask]
+
+    for _ in range(_MAX_ITER):
+        keep = ~(np.abs(U.real) > _RE_MAX).any(axis=1)
+        live, U = live[keep], U[keep]
+        ok, V, W, D = _system(t, U, le)
+        live, U = live[ok], U[ok]
+        H, _ = _reduce(V)
+        hmax = np.abs(H).max(axis=1)
+        J = _jacobian(t, W, D)
+        ended = hmax < 1e-13
+        flat = ~ended & (J[:, 0, 0] == 0) if n == 1 else np.full(len(U), False)
+        ended |= flat & (hmax < tol)
+        end(ended)
+        go = ~(ended | flat)
+        live, U, H, J = live[go], U[go], H[go], J[go]
+        if not len(live):
+            break
+        delta = -H / J[:, :, 0] if n == 1 else _solve(J, -H)
+        step = np.abs(delta).max(axis=1)
+        keep = np.isfinite(step)
+        live, U, delta, step = live[keep], U[keep], delta[keep], step[keep]
+        long = step > 2.0
+        delta[long] *= (2.0 / step[long])[:, None]
+        U = U + delta
+        stag = step < 1e-14
+        end(stag)
+        live, U = live[~stag], U[~stag]
+    return ends, out
+
+
+def _wrap_strip(U):
+    """U with every Im u_i moved into (-pi, pi] by a multiple of 2*pi."""
+    im = U.imag - TWO_PI * np.round(U.imag / TWO_PI)
+    im[im <= -math.pi] += TWO_PI
+    im[im > math.pi] -= TWO_PI
+    out = U.copy()
+    out.imag = im
     return out
 
 
-def _same_point(u, v):
-    for a, b in zip(u, v):
-        d = min(abs(a - b - complex(0.0, TWO_PI * k)) for k in (-1, 0, 1))
-        if d > _DEDUP_TOL:
-            return False
-    return True
+def _same_point(U, u):
+    """Mask of the rows of U that are the point u: every coordinate within
+    _DEDUP_TOL of u's modulo 2*pi*i (both in the strip, so the nearest
+    multiple of 2*pi*i is the one that counts)."""
+    d = U - u
+    im = d.imag - TWO_PI * np.round(d.imag / TWO_PI)
+    return (d.real ** 2 + im ** 2 <= _DEDUP_TOL ** 2).all(axis=1)
 
 
 def _finish_point(t, u, cfg, le):
-    """Validate, wrap, and decorate a converged iterate; None to discard."""
-    u = _wrap_strip(u)
-    state = _system(t, u, le)
-    if state is None:
+    """Validate and decorate a wrapped iterate u; None to discard."""
+    ok, V, W, D = _system(t, u[None], le)
+    if not ok[0]:
         return None
-    v, zeta = state
-    H, m = _reduce(v)
-    res_log = max(abs(h) for h in H)
+    H, m = _reduce(V[0])
+    res_log = float(max(abs(h) for h in H))
     if res_log >= cfg.newton_tol:
         return None
+    u = [complex(x) for x in u]
+    m = [int(k) for k in m]
     z = [cmath.exp(x) for x in u]
     try:
         res_mult = var_residual(t, z)
@@ -321,14 +344,23 @@ def _finish_point(t, u, cfg, le):
             cand = -m[i0] // vL[i0]
             if all(k == -cand * c for k, c in zip(m, vL)):
                 h = cand
-    J = _jacobian(t, zeta, t.nvars)
-    sing = bool(np.linalg.cond(J) > 1e12)
+    sing = bool(np.linalg.cond(_jacobian(t, W, D)[0]) > 1e12)
     return CriticalPoint(
         u=tuple(u), z=tuple(z),
         residual_log=res_log, residual_mult=res_mult,
         branch_A=branch_A, branch_L=branch_L,
         jacobian_singular=sing,
         sheet=tuple(m), eps_branch=h, is_critical=h is not None)
+
+
+def _starts(cfg, n):
+    """The seeded start points: rows of a (cfg.starts, n) complex array with
+    Re in [-3, 3) and Im in [-pi, pi)."""
+    rng = np.random.default_rng(cfg.seed)
+    U = np.empty((cfg.starts, n), dtype=complex)
+    U.real = rng.uniform(-3.0, 3.0, size=U.shape)
+    U.imag = rng.uniform(-math.pi, math.pi, size=U.shape)
+    return U
 
 
 def solve_variational(t: QTerm, cfg: SolverConfig = None):
@@ -338,19 +370,16 @@ def solve_variational(t: QTerm, cfg: SolverConfig = None):
     if cfg is None:
         cfg = SolverConfig()
     le = log_eps(t.epsilon)
-    n = t.nvars
-    rng = np.random.default_rng(cfg.seed)
-    res = rng.uniform(-3.0, 3.0, size=(cfg.starts, n))
-    ims = rng.uniform(-math.pi, math.pi, size=(cfg.starts, n))
-    starts = [[complex(res[s, i], ims[s, i]) for i in range(n)] for s in range(cfg.starts)]
-
+    ends, out = _newton(t, _starts(cfg, t.nvars), cfg.newton_tol, le)
+    U = _wrap_strip(out[ends])
+    new = np.full(len(U), True)     # not a duplicate of an accepted point
     points = []
-    for u0 in starts:
-        u = _newton_from(t, u0, cfg, le)
-        cp = None if u is None else _finish_point(t, u, cfg, le)
-        if cp is None or any(_same_point(cp.u, q.u) for q in points):
-            continue
-        points.append(cp)
+    for i, u in enumerate(U):
+        if new[i]:
+            cp = _finish_point(t, u, cfg, le)
+            if cp is not None:
+                points.append(cp)
+                new &= ~_same_point(U, u)
     points.sort(key=lambda cp: tuple((round(x.real, 9), round(x.imag, 9)) for x in cp.u))
     return points
 

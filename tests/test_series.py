@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -181,13 +182,18 @@ def _overflowing_term():
     return SpecialQTerm(1, t.Q, t.L, 1, t.quads * 6)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sequence_raises_on_the_first_non_finite_coefficient():
     with pytest.raises(OverflowError, match=r"c_348 = "):
         sequence(_overflowing_term(), 350)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_raises_before_any_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"c_348 = "):
+            sequence(_overflowing_term(), 350)
+
+
 def test_check_conjecture_reports_overflow_as_inconclusive():
     rep = check_conjecture(_overflowing_term(), ConjectureConfig(n_max=350))
     assert rep.verdict == "inconclusive" and rep.radius is None

@@ -65,6 +65,7 @@ _RESIDUE_REL_TOL = 1e-7   # pade_poles drops poles with a smaller relative resid
 _NEAR_DISK = 1.5          # poles within this multiple of the radius are compared
 _CONSISTENT_TOL = 0.05    # relative defects below this read "consistent"
 _INCONSISTENT_TOL = 0.25  # and above this "inconsistent"
+_LOG10_2 = (30102999566398119521373889472449302676, 10 ** 38)   # log10(2), rounded down
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +230,16 @@ def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
     return LaurentPoly({origin + i: c for i, c in enumerate(vec.tolist()) if c})
 
 
+def _digits(x: int) -> int:
+    """len(str(x)) for an int x > 0, without the decimal conversion (which
+    is quadratic, and refused past 4300 digits).  With b = x.bit_length(),
+    2^(b-1) <= x < 2^b puts floor(log10 x) at k or k + 1, where
+    k = floor((b-1) log10 2); one comparison with 10^(k+1) decides."""
+    num, den = _LOG10_2
+    k = (x.bit_length() - 1) * num // den
+    return k + 1 + (x >= 10 ** (k + 1))
+
+
 def _eval_ring_mp(vec, n) -> complex:
     """Evaluate an integer vector of Z[q]/(q^n - 1) at q = e^{2pi*i/n} in
     mpmath, with working precision scaled to the coefficient magnitude —
@@ -237,7 +248,7 @@ def _eval_ring_mp(vec, n) -> complex:
     import mpmath as mp
 
     big = max((abs(c) for c in vec if c), default=0)
-    digits = len(str(big)) if big else 1
+    digits = _digits(big) if big else 1
     with mp.workdps(20 + digits + len(str(n))):
         zeta = mp.exp(2j * mp.pi / n)
         val = mp.polyval([mp.mpf(c) for c in reversed(vec)], zeta)

@@ -21,10 +21,24 @@ The multistart is one batch (_newton): the starts are the rows of one
 (starts, n) complex array, and each Newton step evaluates the system, its
 lattice reduction, the stacked Jacobians and their solves for all live rows
 in one numpy pass.  Every row keeps the rules it would follow alone; they
-are applied as masks.  The iterates the rows end on are wrapped into the
-strip and deduplicated in start order *before* _finish_point validates
-them, so only new points are finished.  The accepted set is the one that
-finishing first would give, since a duplicate is skipped either way.
+are applied as masks, and a mask that drops no row is not applied.
+
+The kernel is row-invariant: every contraction in _system and _jacobian is
+an np.einsum, which sums each row's products in a fixed order, and the
+stacked solves and condition numbers treat each matrix on its own.  (A BLAS
+matrix product may block a stack differently from one row, so a row's
+iterate would depend on which rows share its stack.)  A row therefore ends
+on the same iterate, bit for bit, in any stack, and a quantity computed for
+a whole stack equals the one computed for that row alone.
+
+The iterates the rows end on are wrapped into the strip and finished in one
+batch (_finish): one _system, _reduce, _jacobian and stacked condition
+number over all of them, then an accept loop in start order that validates
+a row only if no earlier accepted point is within _DEDUP_TOL of it, and
+masks the duplicates of every point it accepts.  The accepted set is the one
+that finishing every iterate alone and then deduplicating would give, since
+a duplicate is skipped either way, and by row invariance each accepted point
+equals that row finished alone.
 """
 
 from __future__ import annotations
@@ -76,11 +90,13 @@ def _system(t, U, le):
     w_j = e^{A_j(u)} lies in {0, 1} (within _UNIT_TOL) and, on those rows
     only, V is the raw varlog array, W the factor values and D = 1 - W."""
     Qm, A, sA, vL = t._arrays
-    W = np.exp(U @ A.T)
+    W = np.exp(np.einsum("si,ji->sj", U, A))
     D = 1.0 - W
     ok = ~((np.abs(D) < _UNIT_TOL) | (np.abs(W) < _UNIT_TOL)).any(axis=1)
-    W, D = W[ok], D[ok]
-    V = U[ok] @ Qm.T + le * vL + np.log(D + 0.0) @ sA   # + 0.0: Im -0.0 -> +0.0
+    if not ok.all():
+        U, W, D = U[ok], W[ok], D[ok]
+    V = (np.einsum("si,mi->sm", U, Qm) + le * vL
+         + np.einsum("sj,ji->si", np.log(D + 0.0), sA))   # + 0.0: Im -0.0 -> +0.0
     return ok, V, W, D
 
 
@@ -256,7 +272,7 @@ def _newton(t, U, tol, le):
     _RE_MAX, some factor value hits {0, 1}, its step is not finite, or it
     runs out of _MAX_ITER steps; it ends when its reduced residual is below
     1e-13, after a step shorter than 1e-14 (stagnation: the residual gate in
-    _finish_point decides), or, for n = 1 with a zero derivative, when the
+    _finish decides), or, for n = 1 with a zero derivative, when the
     residual is below tol.  Steps longer than 2 are scaled down to 2."""
     n = t.nvars
     live = np.arange(len(U))
@@ -264,14 +280,18 @@ def _newton(t, U, tol, le):
     out = np.empty_like(U)
 
     def end(mask):
-        ends[live[mask]] = True
-        out[live[mask]] = U[mask]
+        if mask.any():
+            ends[live[mask]] = True
+            out[live[mask]] = U[mask]
+
+    def pick(mask, *arrays):
+        return arrays if mask.all() else tuple(x[mask] for x in arrays)
 
     for _ in range(_MAX_ITER):
         keep = ~(np.abs(U.real) > _RE_MAX).any(axis=1)
-        live, U = live[keep], U[keep]
+        live, U = pick(keep, live, U)
         ok, V, W, D = _system(t, U, le)
-        live, U = live[ok], U[ok]
+        live, U = pick(ok, live, U)
         H, _ = _reduce(V)
         hmax = np.abs(H).max(axis=1)
         J = _jacobian(t, W, D)
@@ -279,20 +299,19 @@ def _newton(t, U, tol, le):
         flat = ~ended & (J[:, 0, 0] == 0) if n == 1 else np.full(len(U), False)
         ended |= flat & (hmax < tol)
         end(ended)
-        go = ~(ended | flat)
-        live, U, H, J = live[go], U[go], H[go], J[go]
+        live, U, H, J = pick(~(ended | flat), live, U, H, J)
         if not len(live):
             break
         delta = -H / J[:, :, 0] if n == 1 else _solve(J, -H)
         step = np.abs(delta).max(axis=1)
-        keep = np.isfinite(step)
-        live, U, delta, step = live[keep], U[keep], delta[keep], step[keep]
+        live, U, delta, step = pick(np.isfinite(step), live, U, delta, step)
         long = step > 2.0
-        delta[long] *= (2.0 / step[long])[:, None]
+        if long.any():
+            delta[long] *= (2.0 / step[long])[:, None]
         U = U + delta
         stag = step < 1e-14
         end(stag)
-        live, U = live[~stag], U[~stag]
+        live, U = pick(~stag, live, U)
     return ends, out
 
 
@@ -315,42 +334,52 @@ def _same_point(U, u):
     return (d.real ** 2 + im ** 2 <= _DEDUP_TOL ** 2).all(axis=1)
 
 
-def _finish_point(t, u, cfg, le):
-    """Validate and decorate a wrapped iterate u; None to discard."""
-    ok, V, W, D = _system(t, u[None], le)
-    if not ok[0]:
-        return None
-    H, m = _reduce(V[0])
-    res_log = float(max(abs(h) for h in H))
-    if res_log >= cfg.newton_tol:
-        return None
-    u = [complex(x) for x in u]
-    m = [int(k) for k in m]
-    z = [cmath.exp(x) for x in u]
-    try:
-        res_mult = var_residual(t, z)
-    except DomainError:
-        return None
-    branch_A = tuple(branch_integer(u, a) for a, _ in t.factors)
-    branch_L = branch_integer(u, t.L)
+def _finish(t, U, cfg, le):
+    """The points among the wrapped iterates U (rows, in start order): all
+    rows are evaluated in one batch, then accepted in start order, each
+    accepted point masking its duplicates among the later rows.  A row is
+    discarded if a factor value hits {0, 1}, its residual is not below
+    newton_tol, or var_residual raises DomainError; only accepted rows are
+    decorated, so only they can raise BranchParityError."""
+    ok, V, W, D = _system(t, U, le)
+    U = U[ok]                       # V, W and D hold these rows only
+    H, M = _reduce(V)
+    cond = np.linalg.cond(_jacobian(t, W, D))
     vL = t.L.coeffs
-    h = None
-    if all(c == 0 for c in vL):
-        if all(k == 0 for k in m):
-            h = 0
-    else:
-        i0 = next(i for i, c in enumerate(vL) if c != 0)
-        if m[i0] % vL[i0] == 0:
+    i0 = next((i for i, c in enumerate(vL) if c != 0), None)
+    new = np.full(len(U), True)     # not a duplicate of an accepted point
+    points = []
+    for k in range(len(U)):
+        if not new[k]:
+            continue
+        res_log = float(max(abs(h) for h in H[k]))
+        if res_log >= cfg.newton_tol:
+            continue
+        u = [complex(x) for x in U[k]]
+        z = [cmath.exp(x) for x in u]
+        try:
+            res_mult = var_residual(t, z)
+        except DomainError:
+            continue
+        branch_A = tuple(branch_integer(u, a) for a, _ in t.factors)
+        branch_L = branch_integer(u, t.L)
+        m = [int(x) for x in M[k]]
+        h = None
+        if i0 is None:
+            if all(x == 0 for x in m):
+                h = 0
+        elif m[i0] % vL[i0] == 0:
             cand = -m[i0] // vL[i0]
-            if all(k == -cand * c for k, c in zip(m, vL)):
+            if all(x == -cand * c for x, c in zip(m, vL)):
                 h = cand
-    sing = bool(np.linalg.cond(_jacobian(t, W, D)[0]) > 1e12)
-    return CriticalPoint(
-        u=tuple(u), z=tuple(z),
-        residual_log=res_log, residual_mult=res_mult,
-        branch_A=branch_A, branch_L=branch_L,
-        jacobian_singular=sing,
-        sheet=tuple(m), eps_branch=h, is_critical=h is not None)
+        points.append(CriticalPoint(
+            u=tuple(u), z=tuple(z),
+            residual_log=res_log, residual_mult=res_mult,
+            branch_A=branch_A, branch_L=branch_L,
+            jacobian_singular=bool(cond[k] > 1e12),
+            sheet=tuple(m), eps_branch=h, is_critical=h is not None))
+        new &= ~_same_point(U, U[k])
+    return points
 
 
 def _starts(cfg, n):
@@ -371,15 +400,7 @@ def solve_variational(t: QTerm, cfg: SolverConfig = None):
         cfg = SolverConfig()
     le = log_eps(t.epsilon)
     ends, out = _newton(t, _starts(cfg, t.nvars), cfg.newton_tol, le)
-    U = _wrap_strip(out[ends])
-    new = np.full(len(U), True)     # not a duplicate of an accepted point
-    points = []
-    for i, u in enumerate(U):
-        if new[i]:
-            cp = _finish_point(t, u, cfg, le)
-            if cp is not None:
-                points.append(cp)
-                new &= ~_same_point(U, u)
+    points = _finish(t, _wrap_strip(out[ends]), cfg, le)
     points.sort(key=lambda cp: tuple((round(x.real, 9), round(x.imag, 9)) for x in cp.u))
     return points
 

@@ -305,6 +305,21 @@ def test_exact_mode_past_n_25_on_a_dividing_walk():
     _assert_exact_matches_numeric(CORPUS["binomial"], [40])
 
 
+def test_digit_count_matches_str_around_powers_of_ten():
+    for e in list(range(1, 60)) + [307, 308, 1000, 4299]:
+        for x in (10 ** e - 1, 10 ** e, 10 ** e + 1, 2 ** e, 2 ** e - 1):
+            assert series._digits(x) == len(str(x)), x
+    assert series._digits(10 ** 5000 - 1) == 5000     # past str's 4300-digit limit
+    assert series._digits(10 ** 5000) == 5001
+
+
+def test_eval_ring_mp_past_the_str_digit_limit():
+    # 3**9500 has 4533 digits; 1 + zeta + zeta^2 = 0 at n = 3
+    big = 3 ** 9500
+    assert abs(series._eval_ring_mp([big, big, big], 3)) < 1e-12
+    assert abs(series._eval_ring_mp([big + 1, big, big], 3) - 1) < 1e-12
+
+
 def _special_terms():
     """r = 1 special terms built from quads whose admissible k' lie in
     [0, n] up to the affine constants: a q-binomial (the walk divides), a

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qbloch.errors import DomainError
 from qbloch.qterm import LinForm, QTerm, QuadForm, one_variable_family
-from qbloch.solver import (CriticalPoint, SolverConfig, _finish_point, _jacobian, _newton,
+from qbloch.solver import (CriticalPoint, SolverConfig, _finish, _jacobian, _newton,
                            _reduce, _same_point, _starts, _system, _wrap_strip, log_eps,
                            solve_poly_1var, solve_variational, var_residual,
                            varlog_residual)
@@ -116,15 +117,25 @@ def test_to_json_obj_shape(t41):
 
 def _rows_run_alone(t, U):
     """Run the stack U through the kernel, then each row alone; the outcomes
-    (ended or dropped, and the iterate) must agree row by row."""
+    (ended or dropped, and the iterate, bit for bit) must agree row by row."""
     le = log_eps(t.epsilon)
     ends, out = _newton(t, U, 1e-10, le)
     for i in range(len(U)):
         e1, o1 = _newton(t, U[i:i + 1], 1e-10, le)
         assert e1[0] == ends[i]
         if ends[i]:
-            assert np.abs(o1[0] - out[i]).max() <= 1e-12
+            assert (o1[0] == out[i]).all()
     return ends, out
+
+
+def test_kernel_battery_rows_match_each_row_alone(battery_solved):
+    # the seeded starts of the first three battery terms with r = 1 and r = 2
+    for r in (1, 2):
+        terms = [t for t, _ in battery_solved if t.r == r][:3]
+        assert len(terms) == 3
+        for t in terms:
+            ends, _ = _rows_run_alone(t, _starts(SolverConfig(), t.nvars))
+            assert ends.any()
 
 
 def test_kernel_edge_rows_match_each_row_alone():
@@ -166,11 +177,21 @@ def test_dedup_before_finish_matches_finish_then_dedup(battery_solved):
     for t, pts in battery_solved:
         le = log_eps(t.epsilon)
         ends, out = _newton(t, _starts(cfg, t.nvars), cfg.newton_tol, le)
-        ref = []
-        for u in _wrap_strip(out[ends]):
-            cp = _finish_point(t, u, cfg, le)
+        U = _wrap_strip(out[ends])
+        ref = []                                # finish each row alone, then dedup
+        for i in range(len(U)):
+            alone = _finish(t, U[i:i + 1], cfg, le)
+            assert len(alone) <= 1
             seen = np.array([q.u for q in ref], dtype=complex).reshape(-1, t.nvars)
-            if cp is not None and not _same_point(seen, np.array(cp.u)).any():
-                ref.append(cp)
-        assert len(ref) == len(pts)
+            if alone and not _same_point(seen, np.array(alone[0].u)).any():
+                ref.append(alone[0])
+        batch = _finish(t, U, cfg, le)
+        assert len(batch) == len(ref) == len(pts)
+        for a, b in zip(batch, ref):
+            for f in fields(CriticalPoint):
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
         assert {cp.u: cp for cp in ref} == {cp.u: cp for cp in pts}
+
+
+def test_finish_empty_stack(t41):
+    assert _finish(t41, np.empty((0, 1), dtype=complex), SolverConfig(), 0j) == []

@@ -40,9 +40,15 @@ class _Check:
             raise SchemaError("term file rejected", self.violations)
 
 
+INT64 = 2 ** 63    # compiled term data is int64
+
+
 def _want_int(ck, obj, pointer):
     if isinstance(obj, bool) or not isinstance(obj, int):
         ck.fail(pointer, f"expected an integer, got {type(obj).__name__}")
+        return 0
+    if not -INT64 <= obj < INT64:
+        ck.fail(pointer, f"integer {obj} is outside the int64 range")
         return 0
     return obj
 
@@ -100,6 +106,9 @@ def _parse_quadform(ck, obj, pointer, nvars):
             except (ValueError, TypeError, ZeroDivisionError):
                 ck.fail(f"{pointer}/linear/{i}", f"not a rational: {x!r}")
                 linear.append(Fraction(0))
+            if not -INT64 <= 2 * linear[-1] < INT64:
+                ck.fail(f"{pointer}/linear/{i}", f"twice {x!r} is outside the int64 range")
+                linear[-1] = Fraction(0)
     for i in range(len(matrix)):
         for j in range(i + 1, len(matrix)):
             if matrix[i][j] != matrix[j][i]:

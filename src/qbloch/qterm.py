@@ -14,7 +14,7 @@ factor list by quadruples (B, C, D, E) encoding
 which is a Laurent polynomial whenever B(k) >= C(k) >= 0 and
 D(k) >= E(k) >= 0.  Their admissible region scales to a rational polytope
 that must be nonempty and compact; this module validates and enumerates it
-exactly (Fourier-Motzkin over Fractions — no floating point anywhere here).
+exactly (Fourier-Motzkin over integer rows — no floating point anywhere here).
 
 Affine constants are a deliberate extension: the scaling polytope and all
 downstream analytic objects see only the homogeneous parts (constants are
@@ -24,7 +24,6 @@ the full affine values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -209,12 +208,11 @@ class SpecialQTerm:
 
         P = { w in R^r : all homogeneous inequalities hold at (1, w) }
 
-    is nonempty and compact, and caches rational coordinate bounds for an
-    inflated copy of P that provably contains every affinely admissible
-    k'/n for n >= 1, and for the admissible k' at n = 0 — the enumeration
-    boxes that lattice(n) enumerates.  It also compiles the integer data
-    once: one int64 matrix whose rows are each quad's B, C, D, E, then L,
-    then 2*QL and M, each with its affine constant in the last column.
+    is nonempty and compact.  It also compiles the integer data once: one
+    int64 matrix whose rows are each quad's B, C, D, E, then L, then 2*QL
+    and M, each with its affine constant in the last column; and the exact
+    bound rows of every coordinate k'_i, affine in n and the earlier
+    coordinates (_bound_rows), from which lattice(n) enumerates.
     """
 
     r: int
@@ -222,9 +220,8 @@ class SpecialQTerm:
     L: LinForm
     epsilon: int
     quads: tuple  # of (B, C, D, E) LinForms
-    _box: tuple = field(default=None, compare=False, repr=False)
-    _box0: tuple = field(default=None, compare=False, repr=False)
     _rows: np.ndarray = field(default=None, compare=False, repr=False)
+    _bounds: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "quads", tuple(tuple(q) for q in self.quads))
@@ -232,13 +229,12 @@ class SpecialQTerm:
             raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
         forms = [f for quad in self.quads for f in quad]
         _check_shapes(self.r, self.Q, self.L, forms)
-        box, box0 = _validate_polytope(self)
-        object.__setattr__(self, "_box", box)
-        object.__setattr__(self, "_box0", box0)
+        _validate_polytope(self)
         ql2 = [int(2 * x) for x in self.Q.linear]
         rows = ([f.coeffs + (f.constant,) for f in forms + [self.L]]
                 + [tuple(ql2) + (0,)] + [m + (0,) for m in self.Q.matrix])
         object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
+        object.__setattr__(self, "_bounds", _bound_rows(self, rows))
 
     @property
     def nvars(self):
@@ -256,32 +252,42 @@ class SpecialQTerm:
 
     def lattice(self, n):
         """The admissible k = (n, k') with k' in N^r, from one matrix product
-        over the enumeration box: int64 arrays (kp, F, Q, L), the points k'
+        over exactly those points: int64 arrays (kp, F, Q, L), the points k'
         of shape (P, r) in lexicographic order, F[p, j] = (B_j, C_j, D_j,
         E_j)(k) of shape (P, len(quads), 4), Q[p] = Q(k) and L[p] = L(k).
 
-        The box is the cached bounding box of the inflated scaling polytope
-        dilated by n (at n = 0, the box of the k'-parts of the forms), so
-        this is exactly the support of the n-th coefficient."""
+        Each prefix k'_0..k'_{i-1} gives one integer interval for k'_i from
+        the bound rows, and every admissibility inequality is a bound row of
+        its last variable, so the points are exactly the support of the n-th
+        coefficient.  Raises OverflowError before any int64 product that
+        could leave the int64 range."""
         n = int(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
-        box = self._box0 if n == 0 else [(lo * n, hi * n) for lo, hi in self._box]
-        lows = [max(0, math.ceil(lo)) for lo, _ in box]
-        shape = [max(0, math.floor(hi) - a + 1) for (_, hi), a in zip(box, lows)]
-        # lows as an int64 array: adding an empty list (r = 0) gives float64
-        kp = (np.indices(shape, dtype=np.int64).reshape(self.r, math.prod(shape)).T
-              + np.array(lows, dtype=np.int64))
+        top, levels, m = self._bounds
+        kp = np.zeros((1, 0), dtype=np.int64)
+        if not all(a * n + d >= 0 for a, d in top):
+            kp, levels = np.zeros((0, self.r), dtype=np.int64), ()
+        s = n + 1     # bounds the 1-norm of every (n, k'_0, ..., k'_{i-1}, 1) so far
+        for R, c in levels:
+            if m * s >= 2 ** 63:
+                raise OverflowError(f"lattice({n}) would leave the int64 range")
+            x = kp @ R[:, 1:-1].T + (n * R[:, 0] + R[:, -1])
+            lo = (-(x[:, c > 0] // c[c > 0])).max(axis=1)
+            hi = (x[:, c < 0] // -c[c < 0]).min(axis=1)
+            count = np.maximum(hi - lo + 1, 0)
+            first = np.repeat(lo - np.cumsum(count) + count, count)
+            kp = np.column_stack((np.repeat(kp, count, axis=0),
+                                  first + np.arange(len(first))))
+            s += int(kp[:, -1].max(initial=0))
+        if m * s * s >= 2 ** 63:
+            raise OverflowError(f"lattice({n}) would leave the int64 range")
         k = np.column_stack((np.full(len(kp), n, dtype=np.int64), kp,
                              np.ones(len(kp), dtype=np.int64)))
         v = k @ self._rows.T
         f = 4 * len(self.quads)
-        F = v[:, :f].reshape(len(kp), len(self.quads), 4)
-        B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
-        ok = ((B >= C) & (C >= 0) & (D >= E) & (E >= 0)).all(axis=1)
-        k, v = k[ok], v[ok]
         Q = (v[:, f + 1] + (v[:, f + 2:] * k[:, :-1]).sum(axis=1)) // 2
-        return kp[ok], F[ok], Q, v[:, f]
+        return kp, v[:, :f].reshape(len(kp), len(self.quads), 4), Q, v[:, f]
 
     def to_json_obj(self):
         return {"r": self.r,
@@ -391,7 +397,7 @@ def eval_special_exact(t: SpecialQTerm, k) -> LaurentPoly:
 # polytope validation and lattice enumeration (exact Fourier-Motzkin)
 
 def _fm_eliminate(ineqs, j):
-    # ineqs are (coeffs tuple of Fractions/ints, const) meaning coeffs.w + const >= 0
+    # ineqs are (coeffs tuple, const), ints or Fractions, meaning coeffs.w + const >= 0
     pos, neg, rest = [], [], []
     for c, d in ineqs:
         if c[j] > 0:
@@ -416,48 +422,15 @@ def _fm_feasible(ineqs, nvars):
     return all(d >= 0 for _, d in sys_)
 
 
-def _fm_interval(ineqs, nvars, i):
-    """Exact projection of the feasible set onto coordinate i: (lo, hi).
-
-    lo is None for unbounded below, hi None for unbounded above; raises
-    PolytopeError if projection is empty.
-    """
-    sys_ = ineqs
-    for j in range(nvars):
-        if j != i:
-            sys_ = _fm_eliminate(sys_, j)
-    lo, hi = None, None
-    for c, d in sys_:
-        ci = c[i]
-        if ci > 0:
-            b = Fraction(-d, ci)
-            lo = b if lo is None else max(lo, b)
-        elif ci < 0:
-            b = Fraction(d, -ci)
-            hi = b if hi is None else min(hi, b)
-        elif d < 0:
-            raise PolytopeError("projection empty")
-    if lo is not None and hi is not None and lo > hi:
-        raise PolytopeError("projection empty")
-    return lo, hi
-
-
 def _validate_polytope(t: SpecialQTerm):
-    """Check nonempty + compact; return inflated per-coordinate bounds.
+    """Raise PolytopeError unless the scaling polytope is nonempty and compact.
 
     The polytope lives in w-space (w = k'/n, r coordinates); a form with
     coefficient vector (v_0, ..., v_r) restricts to v_0 + sum_{i>=1} v_i w_i.
-    Returns two boxes.  The first bounds the inflated polytope
-    {ineqs >= -c_max}, which contains k'/n for every affinely admissible k'
-    at every n >= 1.  The second bounds {sum_{i>=1} v_i k'_i >= -c_max},
-    which contains every affinely admissible k' at n = 0.
     """
     r = t.r
-    forms = t.inequality_forms()
     ineqs = []
-    c_max = 0
-    for f in forms:
-        c_max = max(c_max, abs(f.constant))
+    for f in t.inequality_forms():
         coeffs = tuple(f.coeffs[1:])
         const = f.coeffs[0]
         if all(c == 0 for c in coeffs) and const == 0:
@@ -475,18 +448,29 @@ def _validate_polytope(t: SpecialQTerm):
             if _fm_feasible(ray, r):
                 raise PolytopeError(f"scaling polytope unbounded in coordinate {i} "
                                     f"(direction {'+' if s > 0 else '-'})")
-    boxes = []
-    for system in ([(c, d + c_max) for c, d in ineqs],
-                   [(c, Fraction(c_max)) for c, _ in ineqs]):
-        box = []
-        for i in range(r):
-            lo, hi = _fm_interval(list(system), r, i)
-            if lo is None or hi is None:
-                # cannot happen once the recession cone is trivial
-                raise PolytopeError(f"inflated polytope unbounded in coordinate {i}")
-            box.append((lo, hi))
-        boxes.append(tuple(box))
-    return tuple(boxes)
+
+
+def _bound_rows(t, rows):
+    """(top, levels, m) for lattice(n), by Fourier-Motzkin elimination of
+    k'_{r-1}, ..., k'_0 from the admissibility rows and k' >= 0, with n kept
+    as a parameter (Schrijver, Theory of Linear and Integer Programming,
+    1986, §12.2).  levels[i] = (R, c) holds the int64 rows with a nonzero
+    k'_i coefficient c: R . (n, k'_0, ..., k'_{i-1}, 1) + c * k'_i >= 0.
+    top holds the rows (a, d) left with n alone, a*n + d >= 0, which all hold
+    exactly when the n-th slice is nonempty.  m is the largest |entry| of
+    rows (the term's int64 matrix) and of levels."""
+    r = t.r
+    sys_ = [(f.coeffs, f.constant) for f in t.inequality_forms()]
+    sys_ += [(tuple(int(j == i) for j in range(r + 1)), 0) for i in range(1, r + 1)]
+    levels = []
+    for i in range(r, 0, -1):
+        levels.insert(0, [c[:i] + (d, c[i]) for c, d in sys_ if c[i]])
+        sys_ = _fm_eliminate(sys_, i)
+    m = max(abs(x) for row in rows + sum(levels, []) for x in row)
+    if m >= 2 ** 63:      # rows past int64: the term stays usable, lattice(n) refuses
+        return (), (), m
+    levels = [np.array(level, dtype=np.int64) for level in levels]
+    return tuple((c[0], d) for c, d in sys_), tuple((a[:, :-1], a[:, -1]) for a in levels), m
 
 
 def newton_polytope_points(t: SpecialQTerm, n):

@@ -111,6 +111,31 @@ def test_schema_error_reported_with_pointers(capsys, tmp_path):
     assert any(v.startswith("/Q/matrix") for v in e["violations"])
 
 
+def _special_with_l(tmp_path, coeffs):
+    with open(SPECIAL) as f:
+        obj = json.load(f)
+    obj["L"]["coeffs"] = coeffs
+    p = tmp_path / "special.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def test_integer_outside_int64_is_a_schema_error(capsys, tmp_path):
+    code, out, err = _run(capsys, "seq", _special_with_l(tmp_path, [0, 2 ** 64]),
+                          "--n-max", "3")
+    assert code == 1 and out == ""
+    e = json.loads(err)
+    assert e["error"] == "SchemaError"
+    assert any(v.startswith("/L/coeffs/1") for v in e["violations"])
+
+
+def test_int64_overflow_in_the_lattice_exits_2(capsys, tmp_path):
+    code, out, err = _run(capsys, "seq", _special_with_l(tmp_path, [0, 2 ** 62 + 1]),
+                          "--n-max", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+
+
 def test_seq_needs_n_max(capsys):
     code, _, err = _run(capsys, "seq", SPECIAL)
     assert code == 1

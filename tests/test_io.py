@@ -112,6 +112,19 @@ def test_bool_is_not_an_integer():
     assert any(x.startswith("/r") for x in ei.value.violations)
 
 
+def test_integers_outside_int64_rejected():
+    obj = _base_obj()
+    obj["L"]["coeffs"] = [2 ** 64]
+    obj["Q"]["linear"] = [f"{2 ** 64 + 1}/2"]      # integral, but 2*QL is not int64
+    with pytest.raises(SchemaError) as ei:
+        parse_qterm_obj(obj)
+    for pointer in ("/L/coeffs/0", "/Q/linear/0"):
+        assert any(v.startswith(pointer) and "int64" in v for v in ei.value.violations)
+    obj = _base_obj()
+    obj["L"]["constant"] = 2 ** 63 - 1
+    assert parse_qterm_obj(obj).L.constant == 2 ** 63 - 1
+
+
 def test_atomic_writers(tmp_path):
     jp = tmp_path / "out.json"
     write_json_atomic(str(jp), {"b": 1, "a": [2, 3]})

@@ -97,6 +97,41 @@ def test_admissibility_and_polytope_points():
         assert newton_polytope_points(t, n) == [(k,) for k in range(n)]
 
 
+def test_lattice_raises_before_an_int64_product_could_overflow():
+    base = four_one_special()
+
+    def with_l(c):
+        return SpecialQTerm(1, base.Q, LinForm((0, c)), 1, base.quads)
+    t = with_l(2 ** 40)
+    assert t.lattice(3)[3].tolist() == [t.L((3, k)) for k in range(3)]
+    with pytest.raises(OverflowError):
+        with_l(2 ** 62 + 1).lattice(3)       # L(3, 2) = 2**63 + 2 would wrap
+
+    def square(c):      # q^{c k^2 / 2} qbinom(10 n, k): k runs far past n
+        z = LinForm((0, 0))
+        return SpecialQTerm(1, QuadForm(((0, 0), (0, c)), (0, 0)), z, 1,
+                            ((LinForm((10, 0)), LinForm((0, 1)), z, z),))
+    t = square(2 ** 50)
+    assert t.lattice(1)[2].tolist() == [t.Q((1, k)) for k in range(11)]
+    with pytest.raises(OverflowError):
+        square(2 ** 60).lattice(1)           # 2 Q(1, 10) = 100 * 2**60 would wrap
+
+    big = 3 * 2 ** 61      # k <= n + big: refused at the first level, before
+    z = LinForm((0, 0))    # an interval of ~big points is built
+    t = SpecialQTerm(1, base.Q, z, 1,
+                     ((z, z, LinForm((1, 1), big), LinForm((1, 0), big)),
+                      (z, z, LinForm((1, 0), big), LinForm((1, -1), big))))
+    with pytest.raises(OverflowError):
+        t.lattice(3)
+
+    c, z = 2 ** 40, LinForm((0, 0, 0))    # eliminating k'_1 multiplies entries
+    t = SpecialQTerm(2, QuadForm(((0,) * 3,) * 3, (0,) * 3), z, 1,
+                     ((LinForm((c, 0, 0)), LinForm((0, c, c)), z, z),
+                      (LinForm((0, c, c)), LinForm((0, c, 0)), z, z)))
+    with pytest.raises(OverflowError):
+        t.lattice(1)
+
+
 def test_unbounded_polytope_rejected():
     z = LinForm((0, 0), 0)
     with pytest.raises(PolytopeError):

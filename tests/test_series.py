@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -258,16 +259,33 @@ def _corpus():
         # (q)_{n-1} alone, r = 0: one point k' = () for n >= 1, c_n = n
         "rank0": SpecialQTerm(
             0, QuadForm(((0,),), (0,)), z0, 1, ((z0, z0, LinForm((1,), -1), z0),)),
+        # Kashaev's 5_2 sum in k' = (k, l): q^{-k(l+1)} (q)_l^2 / (q^{-1})_k
+        # with (q^{-1})_k = (-1)^k q^{-k(k+1)/2} (q)_k, times qbinom(n-1, l),
+        # which is (-1)^l q^{-l(l+1)/2} at the root of unity and bounds l <= n-1
+        "five_two": SpecialQTerm(
+            2, QuadForm(((0, 0, 0), (0, 1, -1), (0, -1, 1)),
+                        (0, Fraction(-1, 2), Fraction(1, 2))),
+            LinForm((0, 1, 1)), -1,
+            ((z2, z2, LinForm((0, 0, 1)), z2),
+             (z2, z2, LinForm((0, 0, 1)), LinForm((0, 1, 0))),
+             (LinForm((1, 0, 0), -1), LinForm((0, 0, 1)), z2, z2))),
     }
 
 
 CORPUS = _corpus()
 
 
+@lru_cache(maxsize=None)
+def _brute_force_points(t, n):
+    """The admissible k' of the n-th slice, by testing every point of a box
+    that contains them for every term here, outside lattice()."""
+    return [kp for kp in product(range(3 * n + 4), repeat=t.r) if t.admissible((n,) + kp)]
+
+
 def _reference_polynomial(t, n):
     """a_n summed point by point from eval_special_exact, outside the walk."""
     acc = LaurentPoly.zero()
-    for kp in newton_polytope_points(t, n):
+    for kp in _brute_force_points(t, n):
         acc = acc + eval_special_exact(t, (n,) + kp)
     return acc
 
@@ -291,6 +309,21 @@ def test_corpus_exact_mode_matches_numeric(name):
     se, sn = sequence(t, 25, "exact"), sequence(t, 25, "numeric")
     for n in range(1, 26):
         assert abs(se.c(n) - sn.c(n)) <= 1e-8 * (1 + abs(se.c(n))), n
+
+
+def test_five_two_matches_kashaevs_formula():
+    s = sequence(CORPUS["five_two"], 30, "numeric")
+    for n in range(1, 31):
+        q = cmath.exp(2j * math.pi / n)
+        qq = [1 + 0j]           # (q)_l
+        qi = [1 + 0j]           # (q^{-1})_k
+        for j in range(1, n):
+            qq.append(qq[-1] * (1 - q ** j))
+            qi.append(qi[-1] * (1 - q ** -j))
+        want = sum(q ** (-k * (l + 1)) * qq[l] ** 2 / qi[k]
+                   for l in range(n) for k in range(l + 1))
+        assert abs(s.c(n) - want) <= 1e-12 * abs(want), n
+    assert abs(s.c(2) - 7) < 1e-12        # det(5_2)
 
 
 def test_rank0_closed_form():
@@ -353,6 +386,7 @@ def _special_terms():
 @given(_special_terms())
 def test_random_terms_walk_matches_reference_and_numeric(t):
     for n in range(0, 13):
+        assert newton_polytope_points(t, n) == _brute_force_points(t, n), n
         assert exact_polynomial(t, n) == _reference_polynomial(t, n), n
     _assert_exact_matches_numeric(t, range(1, 13))
 
@@ -361,8 +395,7 @@ def test_random_terms_walk_matches_reference_and_numeric(t):
 def test_corpus_lattice_points_match_brute_force(name):
     t = CORPUS[name]
     for n in range(0, 19):
-        box = product(range(3 * n + 4), repeat=t.r)
-        want = [kp for kp in box if t.admissible((n,) + kp)]
+        want = _brute_force_points(t, n)
         assert newton_polytope_points(t, n) == want, n
         ks = [(n,) + kp for kp in want]
         kp, F, Q, L = t.lattice(n)

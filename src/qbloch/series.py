@@ -11,13 +11,17 @@ product, and the two independent evaluation modes take those arrays:
   counted combinatorially (q-Lucas for binomials) and never left to
   floating-point cancellation.  O(n) per coefficient.
 * exact — one integer ratio walk through the lattice points sums the
-  summands, for any term and any n.  It runs in Z[q]/(q^n - 1) when every
-  step only multiplies by factors 1 - q^j, and otherwise in Z[q], dividing
-  exactly, with the result folded mod q^n - 1 (the full Laurent polynomial
-  is what exact_polynomial returns).  Only the final evaluation at the root
-  of unity is numeric, in mpmath with precision scaled to the coefficient
-  size.  Coefficient growth like 4^n makes double precision useless here
-  beyond n ~ 35; this is not optional.
+  summands, for any term and any n.  Each polynomial is one Python int, its
+  value at q = 2^W (Kronecker substitution), with W a whole number of bytes
+  chosen from a proven bound on the final coefficients; a step multiplies
+  by 1 - q^j with one shift and one subtraction, and divides exactly by
+  doubling shifts.  The walk runs in Z[q]/(q^n - 1), i.e. mod 2^(nW) - 1,
+  when no step divides once the factors it both multiplies and divides by
+  cancel, and otherwise in Z[q], with the result folded mod q^n - 1 (the
+  full Laurent polynomial is what exact_polynomial returns).  Only the
+  final evaluation at the root of unity is numeric, in mpmath with
+  precision scaled to the coefficient size.  Coefficient growth like 4^n
+  makes double precision useless here beyond n ~ 35; this is not optional.
 
 Downstream: growth-rate extrapolation (Richardson in 1/n plus a polynomial
 correction fit), Pade pole extraction on a rescaled Toeplitz system, the
@@ -151,36 +155,78 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
 
 
 # ----------------------------------------------------------------------
-# exact coefficients: one integer ratio walk
+# exact coefficients: one integer ratio walk on Kronecker-packed integers
+#
+# A polynomial sum a_i q^i is held as the one Python int sum a_i 2^(iW):
+# its value at q = 2^W.  That map is a ring homomorphism Z[q] -> Z, and
+# Z[q]/(q^n - 1) -> Z/(2^(nW) - 1), so products and exact quotients carry
+# over, and only the final coefficients need |a_i| <= 2^(W-1) - 2 to be
+# read back.  W is always a whole number of bytes.
 
-def _divide_1mq(vec, j):
-    """vec / (1 - q^j) in Z[q], when the division is exact: r[i] = p[i] + r[i-j],
-    a running sum down each residue class mod j."""
-    m = -(-len(vec) // j)
-    pad = np.concatenate((vec, np.zeros(m * j - len(vec), dtype=object)))
-    return pad.reshape(m, j).cumsum(axis=0).ravel()[:len(vec)]
+def _div_1mx(v: int, s: int) -> int:
+    """v / (1 - 2^s), for a multiple v of it: v (1 + X + X^2 + ...) with
+    X = 2^s, mod 2^M by doubling shifts, then centred.  The quotient has
+    |v / (1 - X)| < 2^(v.bit_length() - s + 1) <= 2^(M - 1)."""
+    M = max(v.bit_length() - s, 0) + 2
+    mask = (1 << M) - 1
+    v &= mask
+    while s < M:
+        v = (v + (v << s)) & mask
+        s *= 2
+    return v - (1 << M) if v >> (M - 1) else v
+
+
+def _unpack(v: int, W: int, m: int, ring: bool = False) -> list:
+    """The m signed W-bit digits a_i of v = sum a_i 2^(iW), each with
+    |a_i| <= 2^(W-1) - 2; with ring=True, of v mod 2^(mW) - 1 (for m = n,
+    the sum mod q^n - 1).  One offset of 2^(W-1) per digit makes every digit positive, and one
+    to_bytes call reads them all (linear time)."""
+    w8, half = W // 8, 1 << (W - 1)
+    u = v + int.from_bytes((bytes(w8 - 1) + b"\x80") * m, "little")
+    if ring:
+        u %= (1 << m * W) - 1
+    buf = u.to_bytes(m * w8, "little")
+    return [int.from_bytes(buf[i:i + w8], "little") - half
+            for i in range(0, m * w8, w8)]
+
+
+def _width(F) -> int:
+    """A whole-byte W with 2^(W-1) - 2 >= sum_p L1(t_p), which bounds every
+    coefficient of the sum and of its fold mod q^n - 1: L1 is
+    submultiplicative, L1(qbinom(B, C)) = binom(B, C) and
+    L1(prod_{E<j<=D} (1 - q^j)) <= 2^(D - E)."""
+    B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
+    span = int(C.max(initial=0)) + 1
+    pairs, inv = np.unique(B * span + C, return_inverse=True)
+    # binom(B, C) <= 2^bits
+    bits = np.array([(math.comb(*divmod(x, span)) - 1).bit_length() for x in pairs.tolist()],
+                    dtype=np.int64)[inv.reshape(B.shape)] + D - E
+    bound = sum(1 << b for b in bits.sum(axis=1).tolist())
+    return -(-((bound + 2).bit_length() + 1) // 8) * 8
 
 
 def _walk(t: SpecialQTerm, n: int, ring: bool):
     """Sum of t_{(n,k')} over the admissible k' by one ratio walk through the
-    lattice points (in snake order when r >= 2), as an integer vector:
-    (vec, origin) with the coefficient of q^e at index (e - origin) % len(vec).
+    lattice points (in snake order when r >= 2), packed at q = 2^W:
+    (v, W, origin) with v = sum a_i 2^(iW) and a_i the coefficient of
+    q^(origin + i).
 
     Each summand is q^Q eps^L prod (q)_X^{+-1} over the five factorial
     arguments B+, C-, (B-C)-, D+, E- of every quad.  Between consecutive
     points a factorial that grows on the numerator side or shrinks on the
     denominator side multiplies by 1 - q^j for each j in between; every other
-    change divides.  Each step multiplies before it divides, so every
+    change divides.  The factors a step both multiplies and divides by
+    cancel; of the rest the step applies the multiplies first, so every
     quotient is an integer polynomial (the next summand times the divisors
-    still to come) and r[i] = p[i] + r[i-j] divides by 1 - q^j exactly.
+    still to come).  The running product leaves out q^Q eps^L, which enter
+    as each summand is added.
 
-    With ring=True and no dividing step the walk runs in Z[q]/(q^n - 1):
-    len(vec) = n, origin 0, and vec at q = e^{2pi*i/n} is c_n.  Otherwise it
-    runs in Z[q] on a vector that spans every intermediate product, and vec
-    holds the full Laurent polynomial from its lowest exponent."""
+    With ring=True and no step left dividing, the walk runs in
+    Z[q]/(q^n - 1): v is a residue mod 2^(nW) - 1 and origin is 0.
+    Otherwise it runs in Z[q] from the lowest exponent, origin = min Q."""
     kp, F, Q, L = t.lattice(n)
     if not len(kp):
-        return np.zeros(1, dtype=object), 0
+        return 0, 8, 0
     if t.r >= 2:
         # snake order: the last coordinate runs backwards on every other
         # row, so consecutive points stay neighbours and steps stay short
@@ -193,32 +239,43 @@ def _walk(t: SpecialQTerm, n: int, ring: bool):
     start = np.concatenate((B[0] - C[0], E[0], np.zeros_like(C[0]), B[0] - C[0], E[0]))
     X = np.vstack((start, np.concatenate((B, D, C, B - C, E), axis=1)))
     sign = np.where(np.arange(X.shape[1]) < 2 * len(t.quads), 1, -1)
-    deg = sign * X * (X + 1) // 2      # signed degree of each (q)_X
-    step = np.diff(deg, axis=0)        # degree multiplied in (> 0) or divided out (< 0)
-    origin, size = 0, n
-    if not (ring and (step >= 0).all()):
-        origin = int(Q.min())
-        size = int((Q + deg[1:].sum(axis=1) - step.clip(max=0).sum(axis=1)).max()) - origin + 1
-    cur = np.zeros(size, dtype=object)
-    cur[(int(Q[0]) - origin) % size] = 1
-    acc = np.zeros(size, dtype=object)
-    flips = (np.diff(L, prepend=0) % 2 != 0) & (t.epsilon == -1)
-    for dq, flip, s, lo, hi in zip(np.diff(Q, prepend=Q[0]).tolist(), flips.tolist(),
-                                   step.tolist(), np.minimum(X[:-1], X[1:]).tolist(),
-                                   np.maximum(X[:-1], X[1:]).tolist()):
-        cur = np.roll(cur, dq)
-        for d, a, b in zip(s, lo, hi):
-            if d > 0:
-                for j in range(a + 1, b + 1):
-                    cur = cur - np.roll(cur, j)          # times (1 - q^j)
-        for d, a, b in zip(s, lo, hi):
-            if d < 0:
-                for j in range(a + 1, b + 1):
-                    cur = _divide_1mq(cur, j)
-        if flip:
-            cur = -cur
-        acc = acc + cur
-    return acc, origin
+    p, s = np.nonzero(np.diff(X, axis=0))
+    a, b = X[p, s], X[p + 1, s]
+    net = [{} for _ in range(len(Q))]          # per step: j -> power of 1 - q^j
+    for i, e, lo, hi in zip(p.tolist(), np.sign((b - a) * sign[s]).tolist(),
+                            np.minimum(a, b).tolist(), np.maximum(a, b).tolist()):
+        d = net[i]
+        for j in range(lo + 1, hi + 1):
+            d[j] = d.get(j, 0) + e
+    steps = [([j for j, e in d.items() for _ in range(e)],
+              [j for j, e in d.items() for _ in range(-e)]) for d in net]
+    W = _width(F)
+    flips = ((np.diff(L, prepend=0) % 2 != 0) & (t.epsilon == -1)).tolist()
+    cur, acc, neg = 1, 0, False
+    if ring and not any(div for _, div in steps):
+        k = n * W
+        M = (1 << k) - 1
+        for (mul, _), flip, shift in zip(steps, flips, (Q % n * W).tolist()):
+            for j in mul:                                # times (1 - q^j)
+                j = j % n * W
+                cur -= ((cur << j) & M) | (cur >> (k - j))
+                if cur < 0:
+                    cur += M
+            neg ^= flip
+            x = ((cur << shift) & M) | (cur >> (k - shift))      # times q^Q
+            acc += M - x if neg else x
+            if acc >= M:
+                acc -= M
+        return acc, W, 0
+    origin = int(Q.min())
+    for (mul, div), flip, shift in zip(steps, flips, ((Q - origin) * W).tolist()):
+        for j in mul:
+            cur -= cur << j * W
+        for j in div:
+            cur = _div_1mx(cur, j * W)
+        neg ^= flip
+        acc = acc - (cur << shift) if neg else acc + (cur << shift)
+    return acc, W, origin
 
 
 def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
@@ -226,8 +283,9 @@ def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
     coefficients, no root-of-unity reduction), from the ratio walk in Z[q]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    vec, origin = _walk(t, n, ring=False)
-    return LaurentPoly({origin + i: c for i, c in enumerate(vec.tolist()) if c})
+    v, W, origin = _walk(t, n, ring=False)
+    coeffs = _unpack(v, W, v.bit_length() // W + 2)
+    return LaurentPoly({origin + i: c for i, c in enumerate(coeffs) if c})
 
 
 def _digits(x: int) -> int:
@@ -256,10 +314,9 @@ def _eval_ring_mp(vec, n) -> complex:
 
 
 def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
-    vec, origin = _walk(t, n, ring=True)
-    folded = np.zeros(n, dtype=object)
-    np.add.at(folded, (origin + np.arange(len(vec))) % n, vec)   # q^n = 1
-    return _eval_ring_mp(folded.tolist(), n)
+    v, W, origin = _walk(t, n, ring=True)
+    # q^n = 1: times q^origin, then mod 2^(nW) - 1
+    return _eval_ring_mp(_unpack(v << origin % n * W, W, n, ring=True), n)
 
 
 def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
@@ -282,6 +339,8 @@ def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
 
 def crosscheck_exact_numeric(t: SpecialQTerm, n: int) -> float:
     """|c_exact - c_numeric| — two fully independent evaluation routes."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return abs(_coeff_exact(t, n) - _coeff_numeric(t, n))
 
 

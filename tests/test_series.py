@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -335,7 +336,81 @@ def test_rank0_closed_form():
 
 
 def test_exact_mode_past_n_25_on_a_dividing_walk():
-    _assert_exact_matches_numeric(CORPUS["binomial"], [40])
+    for name in ("binomial", "five_two", "simplex"):
+        _assert_exact_matches_numeric(CORPUS[name], [40])
+
+
+def test_crosscheck_needs_n_at_least_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            crosscheck_exact_numeric(four_one_special(), n)
+
+
+def _folded(poly, n):
+    out = [0] * n
+    for e, c in poly.items():
+        out[e % n] += c
+    return out
+
+
+@pytest.mark.parametrize("name", ["four_one", "eps_minus", "affine_one", "rank0"])
+def test_ring_walk_is_the_folded_polynomial(name):
+    # these walks never divide, so ring=True runs in Z[q]/(q^n - 1)
+    t = CORPUS.get(name) or four_one_special()
+    for n in range(1, 41):
+        v, W, origin = series._walk(t, n, ring=True)
+        assert origin == 0 and 0 <= v < 2 ** (n * W), n     # a residue mod 2^(nW) - 1
+        assert series._unpack(v, W, n, ring=True) == _folded(exact_polynomial(t, n), n), n
+
+
+def _pack(coeffs, W):
+    return sum(c << (i * W) for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("W", [8, 16, 24, 64, 200])
+def test_unpack_round_trip_at_the_digit_limits(W):
+    top = 2 ** (W - 1) - 2
+    coeffs = [top, -top, 0, 1, -1, top, top, -top, -top, 0, top]
+    v = _pack(coeffs, W)
+    assert series._unpack(v, W, len(coeffs)) == coeffs
+    assert series._unpack(v, W, len(coeffs) + 3) == coeffs + [0, 0, 0]
+    assert series._unpack(-v, W, len(coeffs)) == [-c for c in coeffs]
+    n = len(coeffs)
+    M = 2 ** (n * W) - 1
+    for e in (0, 1, 5):     # times q^e in Z[q]/(q^n - 1) is a rotation
+        want = coeffs[n - e:] + coeffs[:n - e]
+        assert series._unpack(v << e * W, W, n, ring=True) == want, e
+        assert series._unpack((v << e * W) % M, W, n, ring=True) == want, e
+    assert series._unpack(0, W, 3, ring=True) == [0, 0, 0]
+    assert series._unpack(M, W, n, ring=True) == [0] * n    # M is 0 too
+
+
+def test_exact_division_matches_laurent_arithmetic():
+    rng = random.Random(11)
+    for W in (8, 16, 40):
+        for j in (1, 2, 3, 7, 30):
+            a = LaurentPoly({e: rng.randint(-50, 50) for e in range(rng.randint(0, 40))})
+            prod = a * LaurentPoly({0: 1, j: -1})
+            got = series._div_1mx(_pack([prod.coeff(e) for e in range(prod.max_exp + 1)], W),
+                                  j * W)
+            assert got == _pack([a.coeff(e) for e in range(a.max_exp + 1)], W), (W, j)
+    assert series._div_1mx(0, 8) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["four_one"])
+def test_width_holds_every_true_coefficient(name, monkeypatch):
+    t = CORPUS.get(name) or four_one_special()
+    width = series._width
+    cases = []
+    for n in range(0, 26):
+        for ring in (False, True) if n else (False,):
+            cases.append((n, ring, series._walk(t, n, ring)[1]))
+    # read the true coefficients back with 64 bits to spare
+    monkeypatch.setattr(series, "_width", lambda F: width(F) + 64)
+    for n, ring, W in cases:
+        a = exact_polynomial(t, n)
+        coeffs = _folded(a, n) if ring else [c for _, c in a.items()]
+        assert max(map(abs, coeffs), default=0) <= 2 ** (W - 1) - 2, (n, ring)
 
 
 def test_digit_count_matches_str_around_powers_of_ten():
@@ -354,10 +429,12 @@ def test_eval_ring_mp_past_the_str_digit_limit():
 
 
 def _special_terms():
-    """r = 1 special terms built from quads whose admissible k' lie in
-    [0, n] up to the affine constants: a q-binomial (the walk divides), a
-    factorial ratio with E increasing (divides), and the two fast-path
-    shapes D increasing / E decreasing (multiplies only); random Q, L, eps."""
+    """Special terms whose admissible k' lie in [0, n] up to the affine
+    constants, with random Q, L and eps.  r = 1: a q-binomial (the walk
+    divides), a factorial ratio with E increasing (divides), and the two
+    fast-path shapes D increasing / E decreasing (multiplies only).  r = 2:
+    the simplex pair qbinom(n+a, k1+k2+b) qbinom(k1+k2+c, k1+d), whose
+    snake-order steps in k2 cancel a factor when b = c."""
     c = st.integers(0, 2)
     z = LinForm((0, 0))
     kinds = {
@@ -379,16 +456,31 @@ def _special_terms():
             1, QuadForm(((m00, m01), (m01, m11)), ql),
             LinForm((draw(m), draw(m)), draw(c)), draw(st.sampled_from([1, -1])),
             tuple(kinds[k](draw(c), draw(c)) for k in draw(shapes)))
-    return term()
+
+    @st.composite
+    def simplex(draw):
+        M = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                M[i][j] = M[j][i] = draw(m)
+        ql = [Fraction(draw(m)) + Fraction(M[i][i] % 2, 2) for i in range(3)]
+        z2 = LinForm((0, 0, 0))
+        return SpecialQTerm(
+            2, QuadForm(tuple(map(tuple, M)), ql),
+            LinForm((draw(m), draw(m), draw(m)), draw(c)), draw(st.sampled_from([1, -1])),
+            ((LinForm((1, 0, 0), draw(c)), LinForm((0, 1, 1), draw(c)), z2, z2),
+             (LinForm((0, 1, 1), draw(c)), LinForm((0, 1, 0), draw(c)), z2, z2)))
+    return st.one_of(term(), simplex())
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(_special_terms())
 def test_random_terms_walk_matches_reference_and_numeric(t):
-    for n in range(0, 13):
+    ns = range(0, 13 if t.r == 1 else 8)    # the r = 2 brute force grows like n^2
+    for n in ns:
         assert newton_polytope_points(t, n) == _brute_force_points(t, n), n
         assert exact_polynomial(t, n) == _reference_polynomial(t, n), n
-    _assert_exact_matches_numeric(t, range(1, 13))
+    _assert_exact_matches_numeric(t, ns[1:])
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

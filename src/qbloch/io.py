@@ -207,12 +207,17 @@ def serialize_qterm(t) -> dict:
 
 
 def _write_atomic(path, write, newline=None):
-    """write(f) into a temp file beside path, then rename it over path."""
+    """write(f) into a temp file beside path, then rename it over path.
+    mkstemp creates the temp file with mode 0600 and the rename keeps it, so
+    the file first gets the mode open() would give it: 0666 less the umask."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline=newline) as f:
             write(f)
+        umask = os.umask(0)     # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -210,9 +210,11 @@ class SpecialQTerm:
 
     is nonempty and compact.  It also compiles the integer data once: one
     int64 matrix whose rows are each quad's B, C, D, E, then L, then 2*QL
-    and M, each with its affine constant in the last column; and the exact
+    and M, each with its affine constant in the last column; the exact
     bound rows of every coordinate k'_i, affine in n and the earlier
-    coordinates (_bound_rows), from which lattice(n) enumerates.
+    coordinates (_bound_rows), from which lattice(n) enumerates; and the
+    plan of the five factorial arguments B, C, B-C, D, E of every quad
+    (_arg_plan), from which numeric coefficients gather.
     """
 
     r: int
@@ -222,6 +224,7 @@ class SpecialQTerm:
     quads: tuple  # of (B, C, D, E) LinForms
     _rows: np.ndarray = field(default=None, compare=False, repr=False)
     _bounds: tuple = field(default=None, compare=False, repr=False)
+    _plan: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "quads", tuple(tuple(q) for q in self.quads))
@@ -235,6 +238,7 @@ class SpecialQTerm:
                 + [tuple(ql2) + (0,)] + [m + (0,) for m in self.Q.matrix])
         object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
         object.__setattr__(self, "_bounds", _bound_rows(self, rows))
+        object.__setattr__(self, "_plan", _arg_plan(self.quads))
 
     @property
     def nvars(self):
@@ -259,8 +263,15 @@ class SpecialQTerm:
         Each prefix k'_0..k'_{i-1} gives one integer interval for k'_i from
         the bound rows, and every admissibility inequality is a bound row of
         its last variable, so the points are exactly the support of the n-th
-        coefficient.  Raises OverflowError before any int64 product that
-        could leave the int64 range."""
+        coefficient.  With R the term's int64 matrix, the row values are
+        kp @ R[:, 1:-1].T plus n times R's first column plus its constant
+        column, and 2Q is the 2QL row's value plus n times the first M row's
+        plus the other M rows' values dotted with k'; no (P, r + 2) array of
+        whole points k is built.  Numeric coefficients
+        read F through the term's argument plan (_arg_plan): the columns of
+        varying forms, and B - C as one column less another.  Raises
+        OverflowError before any int64 product that could leave the int64
+        range."""
         n = int(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
@@ -282,11 +293,12 @@ class SpecialQTerm:
             s += int(kp[:, -1].max(initial=0))
         if m * s * s >= 2 ** 63:
             raise OverflowError(f"lattice({n}) would leave the int64 range")
-        k = np.column_stack((np.full(len(kp), n, dtype=np.int64), kp,
-                             np.ones(len(kp), dtype=np.int64)))
-        v = k @ self._rows.T
+        R = self._rows
+        v = kp @ R[:, 1:-1].T
+        v += n * R[:, 0] + R[:, -1]     # in place: (P, len(R)) is the largest array here
         f = 4 * len(self.quads)
-        Q = (v[:, f + 1] + (v[:, f + 2:] * k[:, :-1]).sum(axis=1)) // 2
+        # 2Q = 2QL.k + k^T M k is even by the integrality invariant
+        Q = (v[:, f + 1] + n * v[:, f + 2] + np.einsum("pi,pi->p", v[:, f + 3:], kp)) >> 1
         return kp, v[:, :f].reshape(len(kp), len(self.quads), 4), Q, v[:, f]
 
     def to_json_obj(self):
@@ -471,6 +483,32 @@ def _bound_rows(t, rows):
         return (), (), m
     levels = [np.array(level, dtype=np.int64) for level in levels]
     return tuple((c[0], d) for c, d in sys_), tuple((a[:, :-1], a[:, -1]) for a in levels), m
+
+
+def _arg_plan(quads):
+    """(forms, slots): the distinct nonzero forms among the five factorial
+    arguments B, C, B-C, D, E of every quad, and for each quad the index of
+    each argument's form in forms, or -1 for the zero form (whose factor is
+    exactly 1).  A form is (True, a, b) when it varies with k': its values
+    are column a of the flattened lattice(n) array F less column b (b >= 0),
+    or column a alone (b = -1); it is (False, a, b) when it is the constant
+    a*n + b for every k' of the n-th slice."""
+    index, forms, slots = {}, [], []
+    for j, (B, C, D, E) in enumerate(quads):
+        row = []
+        for form, a, b in ((B, 4 * j, -1), (C, 4 * j + 1, -1), (B - C, 4 * j, 4 * j + 1),
+                           (D, 4 * j + 2, -1), (E, 4 * j + 3, -1)):
+            key = form.coeffs + (form.constant,)
+            if form.is_zero():
+                row.append(-1)
+                continue
+            if key not in index:
+                index[key] = len(forms)
+                forms.append((True, a, b) if any(form.coeffs[1:])
+                             else (False, form.coeffs[0], form.constant))
+            row.append(index[key])
+        slots.append(tuple(row))
+    return tuple(forms), tuple(slots)
 
 
 def newton_polytope_points(t: SpecialQTerm, n):

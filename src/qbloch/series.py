@@ -9,7 +9,13 @@ product, and the two independent evaluation modes take those arrays:
 * numeric — factors are evaluated directly at the root of unity, with exact
   zero bookkeeping: a factor 1 - q^j vanishes exactly iff n | j, so zeros are
   counted combinatorially (q-Lucas for binomials) and never left to
-  floating-point cancellation.  O(n) per coefficient.
+  floating-point cancellation.  The term's argument plan (compiled once by
+  SpecialQTerm) says which of the factorial arguments B, C, B-C, D, E of each
+  quad are the zero form (factor exactly 1, skipped), constant in k' (one
+  gather per n) or varying (one gather per distinct form), so each distinct
+  argument is gathered once from the table of partial products and the
+  zero-count table.  O(P_n + n) per coefficient, with P_n ~ n^r the number
+  of lattice points.
 * exact — one integer ratio walk through the lattice points sums the
   summands, for any term and any n.  Each polynomial is one Python int, its
   value at q = 2^W (Kronecker substitution), with W a whole number of bytes
@@ -128,30 +134,63 @@ def _term_id(t: SpecialQTerm) -> str:
 # numeric coefficients: exact zero bookkeeping at the root of unity
 
 def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
-    _, F, Q, L = t.lattice(n)
-    b, c, d, e = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
-    m_max = int(F.max(initial=0))
+    F, Q, L = t.lattice(n)[1:]
+    if not len(Q):
+        return 0j
+    forms, slots = t._plan
+    F = F.reshape(len(Q), -1)
+    # each distinct argument once: an int64 column, or an int for a form
+    # constant in k'
+    vals = [(F[:, a] - F[:, b] if b >= 0 else F[:, a]) if varies else a * n + b
+            for varies, a, b in forms]
+    m_max = max((int(v.max()) if varies else v for (varies, _, _), v in zip(forms, vals)),
+                default=0)
     powz = np.exp(2j * np.pi * np.arange(n) / n)
     # m // n = #{j <= m : n | j}; NP[m] = prod of the nonvanishing factors 1-q^j
-    m = np.arange(1, m_max + 1)
-    NP = np.cumprod(np.concatenate(([1.0 + 0.0j], np.where(m % n, 1.0 - powz[m % n], 1.0))))
-    zb, zc, zbc, zd, ze = b // n, c // n, (b - c) // n, d // n, e // n
+    per = 1 - powz
+    per[0] = 1
+    NP = np.cumprod(np.resize(per, m_max + 1))
     z = m_max // n
-    binom = np.array([[math.comb(i, j) for j in range(z + 1)] for i in range(z + 1)],
-                     dtype=float)
+    nps = [NP[v] if varies else NP[v:v + 1] for (varies, _, _), v in zip(forms, vals)]
+    if z:
+        zt = np.arange(m_max + 1) // n
+        zs = [zt[v] if varies else v // n for (varies, _, _), v in zip(forms, vals)]
+        binom = np.array([[math.comb(i, j) for j in range(z + 1)] for i in range(z + 1)],
+                         dtype=float)
     # q-binomial at the root of unity (q-Lucas): zero iff the zero counts
     # don't balance, else binom of the quotients times the nonvanishing
-    # partial products; (q)_d / (q)_e as the polynomial prod_{j=e+1}^{d} (1-q^j)
-    val = np.ones(len(Q), dtype=complex)
-    for j in range(len(t.quads)):
-        val *= binom[zb[:, j], zc[:, j]] * NP[b[:, j]] / (NP[c[:, j]] * NP[b[:, j] - c[:, j]])
-        val *= NP[d[:, j]] / NP[e[:, j]]
-    zero = ((zb - zc - zbc > 0) | (zd - ze > 0)).any(axis=1)
-    val = np.where(zero, 0.0, val) * powz[Q % n]
+    # partial products; (q)_d / (q)_e as the polynomial prod_{j=e+1}^{d} (1-q^j).
+    # A zero form's factor is exactly 1 and is left out, as is comb(., 0).
+    val, zero = None, False
+    for b, c, bc, d, e in slots:
+        g = [nps[i] if i >= 0 else None for i in (b, c, bc, d, e)]
+        if z and b >= 0 and c >= 0:
+            g[0] = _prod(binom[zs[b], zs[c]], g[0])
+        for num, den in ((g[0], _prod(g[1], g[2])), (g[3], g[4])):
+            if den is not None:
+                num = (1 if num is None else num) / den
+            val = _prod(val, num)
+        if z and min(b, c, bc) >= 0:
+            zero = zero | (zs[b] - zs[c] - zs[bc] > 0)
+        if z and d >= 0:
+            zero = zero | (zs[d] - (zs[e] if e >= 0 else 0) > 0)
+    if np.any(zero):
+        val = np.where(zero, 0.0, val)
+    val = _prod(val, powz[Q % n])
     if t.epsilon == -1:
         val = np.where(L % 2 != 0, -val, val)
     with np.errstate(over="ignore", invalid="ignore"):   # sequence raises on a non-finite c_n
         return complex(val.sum())
+
+
+def _prod(x, y):
+    """x * y, where None stands for an exact factor 1 that is left out.
+
+    numpy's complex product rounds through fused multiply-adds, so x * y and
+    y * x can differ in the last bit, and `a * (temporary)` may run as
+    `temporary *= a` on large arrays.  Every product of the numeric mode
+    goes through here, so its operands stay in the order written."""
+    return y if x is None else x if y is None else x * y
 
 
 # ----------------------------------------------------------------------

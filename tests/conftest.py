@@ -13,7 +13,7 @@ def battery_solved():
 @pytest.fixture(scope="session")
 def seq1000():
     """The length-1000 numeric coefficient sequence of the built-in special
-    term (the slowest shared artifact, about 0.8 s)."""
+    term (the slowest shared artifact: 0.1-0.3 s on a shared 2-vCPU VM)."""
     return _sequence_1000()[0]
 
 

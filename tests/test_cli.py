@@ -3,6 +3,8 @@ import io as stringio
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,3 +186,14 @@ def test_usage_error_remapped_to_1(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "qbloch", "seq", SPECIAL, "--n-max", "5"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.reader(stringio.StringIO(done.stdout)))
+    assert tuple(rows[0]) == cli._SEQ_HEADER and len(rows) == 6

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -134,6 +135,22 @@ def test_atomic_writers(tmp_path):
     lines = cp.read_text().strip().splitlines()
     assert lines[0] == "n,x" and lines[1] == "1,2.5"
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_writers_give_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        write_json_atomic(str(tmp_path / "out.json"), {"a": 1})
+        write_csv_atomic(str(tmp_path / "out.csv"), [(1, 2.5)], ("n", "x"))
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("out.json", "out.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want, name
 
 
 def test_load_cv_file_forms(tmp_path):

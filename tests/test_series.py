@@ -260,6 +260,11 @@ def _corpus():
         # (q)_{n-1} alone, r = 0: one point k' = () for n >= 1, c_n = n
         "rank0": SpecialQTerm(
             0, QuadForm(((0,),), (0,)), z0, 1, ((z0, z0, LinForm((1,), -1), z0),)),
+        # qbinom(2n, k): comb(2, k/n) at the root of unity when n | k (q-Lucas),
+        # else 0, so c_n = 1 + 2 + 1 = 4
+        "binom_2n": SpecialQTerm(
+            1, QuadForm(((0, 0), (0, 0)), (0, 0)), z1, 1,
+            ((LinForm((2, 0)), LinForm((0, 1)), z1, z1),)),
         # Kashaev's 5_2 sum in k' = (k, l): q^{-k(l+1)} (q)_l^2 / (q^{-1})_k
         # with (q^{-1})_k = (-1)^k q^{-k(k+1)/2} (q)_k, times qbinom(n-1, l),
         # which is (-1)^l q^{-l(l+1)/2} at the root of unity and bounds l <= n-1
@@ -297,6 +302,38 @@ def _assert_exact_matches_numeric(t, ns):
         assert abs(e - x) <= 1e-8 * (1 + abs(e)), n
 
 
+def _numeric_reference(t, n):
+    """The numeric coefficient with every factorial argument B, C, B-C, D, E
+    of every quad gathered and applied, zero forms and repeats included, on
+    (P, len(quads)) arrays: the computation that series._coeff_numeric's
+    argument plan only shortens, by exact factors 1 and reused gathers."""
+    _, F, Q, L = t.lattice(n)
+    b, c, d, e = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
+    m_max = int(F.max(initial=0))
+    powz = np.exp(2j * np.pi * np.arange(n) / n)
+    m = np.arange(1, m_max + 1)
+    NP = np.cumprod(np.concatenate(([1.0 + 0.0j], np.where(m % n, 1.0 - powz[m % n], 1.0))))
+    zb, zc, zbc, zd, ze = b // n, c // n, (b - c) // n, d // n, e // n
+    z = m_max // n
+    binom = np.array([[math.comb(i, j) for j in range(z + 1)] for i in range(z + 1)],
+                     dtype=float)
+    val = np.ones(len(Q), dtype=complex)
+    for j in range(len(t.quads)):
+        val *= binom[zb[:, j], zc[:, j]] * NP[b[:, j]] / (NP[c[:, j]] * NP[b[:, j] - c[:, j]])
+        val *= NP[d[:, j]] / NP[e[:, j]]
+    zero = ((zb - zc - zbc > 0) | (zd - ze > 0)).any(axis=1)
+    val = np.where(zero, 0.0, val) * powz[Q % n]
+    if t.epsilon == -1:
+        val = np.where(L % 2 != 0, -val, val)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(val.sum())
+
+
+def _assert_numeric_is_the_reference(t, ns):
+    for n in ns:
+        assert series._coeff_numeric(t, n) == _numeric_reference(t, n), n
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["four_one"])
 def test_corpus_walk_matches_pointwise_reference(name):
     t = CORPUS.get(name) or four_one_special()
@@ -310,6 +347,51 @@ def test_corpus_exact_mode_matches_numeric(name):
     se, sn = sequence(t, 25, "exact"), sequence(t, 25, "numeric")
     for n in range(1, 26):
         assert abs(se.c(n) - sn.c(n)) <= 1e-8 * (1 + abs(se.c(n))), n
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["four_one"])
+def test_numeric_coefficient_is_the_reference_bit_for_bit(name):
+    t = CORPUS.get(name) or four_one_special()
+    _assert_numeric_is_the_reference(t, range(1, 61))
+    # 5_2 at n = 200 has 20100 points: past 256 KiB a numpy product with a
+    # temporary operand may run in place in that temporary, operands swapped
+    more = {"four_one": [500, 1000], "five_two": [200]}
+    _assert_numeric_is_the_reference(t, more.get(name, []))
+
+
+def test_argument_plan_covers_every_branch():
+    # 4_1: of 10 arguments, 6 are zero forms and 2 (n and n - 1) constant in k'
+    forms, slots = four_one_special()._plan
+    assert sum(i < 0 for quad in slots for i in quad) == 6
+    assert sorted(varies for varies, _, _ in forms) == [False, False, True, True]
+    # the test corpus reaches every branch of the plan
+    seen = set()
+    for t in CORPUS.values():
+        forms, slots = t._plan
+        args = [i for quad in slots for i in quad]
+        if -1 in args:
+            seen.add("zero form")
+        if len([i for i in args if i >= 0]) > len(forms):
+            seen.add("repeated")
+        if not all(varies for varies, _, _ in forms):
+            seen.add("constant")
+        for b, c, bc, d, e in slots:
+            if d >= 0 > e:
+                seen.add("E zero, D not")
+            if min(b, c) >= 0:
+                seen.add("binomial")
+    assert seen == {"zero form", "E zero, D not", "binomial", "constant", "repeated"}
+    # and a q-Lucas quotient comb(B // n, C // n) other than 1
+    _, F, _, _ = CORPUS["binom_2n"].lattice(7)
+    assert any(math.comb(b // 7, c // 7) > 1 for b, c in F[:, 0, :2].tolist())
+
+
+def test_binom_2n_closed_form():
+    t = CORPUS["binom_2n"]
+    for mode in ("numeric", "exact"):
+        s = sequence(t, 25, mode)
+        for n in range(1, 26):
+            assert abs(s.c(n) - 4) <= 1e-9, (mode, n)
 
 
 def test_five_two_matches_kashaevs_formula():
@@ -481,6 +563,7 @@ def test_random_terms_walk_matches_reference_and_numeric(t):
         assert newton_polytope_points(t, n) == _brute_force_points(t, n), n
         assert exact_polynomial(t, n) == _reference_polynomial(t, n), n
     _assert_exact_matches_numeric(t, ns[1:])
+    _assert_numeric_is_the_reference(t, ns[1:])
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -208,13 +208,17 @@ class SpecialQTerm:
 
         P = { w in R^r : all homogeneous inequalities hold at (1, w) }
 
-    is nonempty and compact.  It also compiles the integer data once: one
-    int64 matrix whose rows are each quad's B, C, D, E, then L, then 2*QL
-    and M, each with its affine constant in the last column; the exact
-    bound rows of every coordinate k'_i, affine in n and the earlier
-    coordinates (_bound_rows), from which lattice(n) enumerates; and the
-    plan of the five factorial arguments B, C, B-C, D, E of every quad
-    (_arg_plan), from which numeric coefficients gather.
+    is nonempty and compact.  It also compiles the integer data once, as
+    int64 rows of coefficients over z = (u, x) with u = (n, 1, k'_0, ...,
+    k'_{r-2}) and x = k'_{r-1} the last coordinate (for r = 0, u = (n, 1)
+    and x is a coordinate fixed at 0, so that every term has one): each
+    quad's B, C, D, E, then L, then beta (_rows); the matrix H' with 2Q(k) =
+    u^T H' u + x * beta(z) (_quad); the exact lower and upper bound rows of
+    every coordinate k'_i, affine in n and the earlier coordinates
+    (_bound_rows), from which _slice_rows(n) enumerates; and the plan of
+    the five factorial arguments B, C, B-C, D, E of every quad with the
+    rows of those that vary (_arg_plan), from which numeric coefficients
+    gather.
     """
 
     r: int
@@ -223,6 +227,7 @@ class SpecialQTerm:
     epsilon: int
     quads: tuple  # of (B, C, D, E) LinForms
     _rows: np.ndarray = field(default=None, compare=False, repr=False)
+    _quad: np.ndarray = field(default=None, compare=False, repr=False)
     _bounds: tuple = field(default=None, compare=False, repr=False)
     _plan: tuple = field(default=None, compare=False, repr=False)
 
@@ -233,12 +238,24 @@ class SpecialQTerm:
         forms = [f for quad in self.quads for f in quad]
         _check_shapes(self.r, self.Q, self.L, forms)
         _validate_polytope(self)
+        width = max(self.r, 1) + 2
+
+        def z(coeffs, constant):
+            return (coeffs[0], constant) + coeffs[1:] + (0,) * (width - 1 - len(coeffs))
+        rows = [z(f.coeffs, f.constant) for f in forms + [self.L]]
+        # z^T H z = 2Q(k) = 2QL.k + k^T M k: z's entry for k_i has the row
+        # (M_i, 2 QL_i), the entry for 1 (and r = 0's fixed x) a zero row
         ql2 = [int(2 * x) for x in self.Q.linear]
-        rows = ([f.coeffs + (f.constant,) for f in forms + [self.L]]
-                + [tuple(ql2) + (0,)] + [m + (0,) for m in self.Q.matrix])
-        object.__setattr__(self, "_rows", np.array(rows, dtype=np.int64))
-        object.__setattr__(self, "_bounds", _bound_rows(self, rows))
-        object.__setattr__(self, "_plan", _arg_plan(self.quads))
+        H = [z(m, c) for m, c in zip(self.Q.matrix, ql2)]
+        H.insert(1, (0,) * width)
+        H += [(0,) * width] * (width - len(H))
+        h = np.array(H, dtype=np.int64)
+        # so 2Q = u^T H' u + x * beta(z), H' = h[:-1, :-1]: beta is affine in z
+        beta = np.append(h[:-1, -1] + h[-1, :-1], h[-1, -1])
+        object.__setattr__(self, "_rows", np.vstack((np.array(rows, dtype=np.int64), beta)))
+        object.__setattr__(self, "_quad", h[:-1, :-1].copy())
+        object.__setattr__(self, "_bounds", _bound_rows(self, rows + H))
+        object.__setattr__(self, "_plan", _arg_plan(self))
 
     @property
     def nvars(self):
@@ -255,51 +272,70 @@ class SpecialQTerm:
         return all(f(k) >= 0 for f in self.inequality_forms())
 
     def lattice(self, n):
-        """The admissible k = (n, k') with k' in N^r, from one matrix product
-        over exactly those points: int64 arrays (kp, F, Q, L), the points k'
-        of shape (P, r) in lexicographic order, F[p, j] = (B_j, C_j, D_j,
-        E_j)(k) of shape (P, len(quads), 4), Q[p] = Q(k) and L[p] = L(k).
+        """The admissible k = (n, k') with k' in N^r, as int64 arrays (kp,
+        F, Q, L): the points k' of shape (P, r) in lexicographic order,
+        F[p, j] = (B_j, C_j, D_j, E_j)(k) of shape (P, len(quads), 4), Q[p] =
+        Q(k) and L[p] = L(k).
+
+        The points come from _slice_rows as rows along the last coordinate
+        x = k'_{r-1}, and so do the values: each form and L is its row base
+        plus x times its x coefficient, and Q comes from per-row
+        coefficients of 2Q, quadratic in x.  No product of the points with
+        the term's rows is formed.  Raises OverflowError before any of these
+        values could leave the int64 range."""
+        n = int(n)
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        pre, count, x, E, Q = self._slice_rows(n, self._rows)
+        kp = np.repeat(pre, count, axis=0)
+        if self.r:          # r = 0 has no last coordinate: its one point is k' = ()
+            kp = np.column_stack((kp, x))
+        f = 4 * len(self.quads)
+        return kp, E[:f].T.reshape(len(x), len(self.quads), 4), Q, E[f]
+
+    def _slice_rows(self, n, R):
+        """The n-th slice as rows along its last coordinate x, and the
+        values of the int64 rows R over z (see the class) at its points:
+        (pre, count, x, E, Q).  Row i holds the count[i] points (pre[i], x)
+        with x running over an integer interval; x has one entry per point,
+        and the points are in lexicographic order (for r = 0, each slice is
+        one row of one point, at x = 0).  R's last row must be the term's
+        beta (self._rows[-1]).  E[j] holds the values of R's row j, for every
+        row but the last: per point, the row base (the row at u = (n, 1,
+        pre[i])) repeated over the row plus x times the row's x coefficient.
+        Q[p] = Q(k), from 2Q = a + x * beta with a = u^T H' u per row.
 
         Each prefix k'_0..k'_{i-1} gives one integer interval for k'_i from
         the bound rows, and every admissibility inequality is a bound row of
         its last variable, so the points are exactly the support of the n-th
-        coefficient.  With R the term's int64 matrix, the row values are
-        kp @ R[:, 1:-1].T plus n times R's first column plus its constant
-        column, and 2Q is the 2QL row's value plus n times the first M row's
-        plus the other M rows' values dotted with k'; no (P, r + 2) array of
-        whole points k is built.  Numeric coefficients
-        read F through the term's argument plan (_arg_plan): the columns of
-        varying forms, and B - C as one column less another.  Raises
-        OverflowError before any int64 product that could leave the int64
-        range."""
-        n = int(n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        coefficient.  Raises OverflowError before any value of a bound row,
+        of 2Q, or of a row of R with entries at most the term's m
+        (_bound_rows) could leave the int64 range."""
         top, levels, m = self._bounds
-        kp = np.zeros((1, 0), dtype=np.int64)
+        u = np.array([[n, 1]], dtype=np.int64)
         if not all(a * n + d >= 0 for a, d in top):
-            kp, levels = np.zeros((0, self.r), dtype=np.int64), ()
+            u = u[:0]
+        # as left for r = 0, which has no level: one point per slice, at x = 0
+        count, x = np.ones(len(u), dtype=np.int64), np.zeros(len(u), dtype=np.int64)
         s = n + 1     # bounds the 1-norm of every (n, k'_0, ..., k'_{i-1}, 1) so far
-        for R, c in levels:
+        for i, (Rt, d, lower) in enumerate(levels):
+            if i:
+                u = np.column_stack((np.repeat(u, count, axis=0), x))
             if m * s >= 2 ** 63:
                 raise OverflowError(f"lattice({n}) would leave the int64 range")
-            x = kp @ R[:, 1:-1].T + (n * R[:, 0] + R[:, -1])
-            lo = (-(x[:, c > 0] // c[c > 0])).max(axis=1)
-            hi = (x[:, c < 0] // -c[c < 0]).min(axis=1)
-            count = np.maximum(hi - lo + 1, 0)
-            first = np.repeat(lo - np.cumsum(count) + count, count)
-            kp = np.column_stack((np.repeat(kp, count, axis=0),
-                                  first + np.arange(len(first))))
-            s += int(kp[:, -1].max(initial=0))
+            q = (u @ Rt) // d
+            lo = -q[:, :lower].min(axis=1)
+            count = np.maximum(q[:, lower:].min(axis=1) - lo + 1, 0)
+            x = np.repeat(lo - np.cumsum(count) + count, count)
+            x += np.arange(len(x))
+            s += int(x.max(initial=0))
         if m * s * s >= 2 ** 63:
             raise OverflowError(f"lattice({n}) would leave the int64 range")
-        R = self._rows
-        v = kp @ R[:, 1:-1].T
-        v += n * R[:, 0] + R[:, -1]     # in place: (P, len(R)) is the largest array here
-        f = 4 * len(self.quads)
+        E = np.repeat((u @ R[:, :-1].T).T, count, axis=1)
+        E += R[:, -1:] * x
+        a = ((u @ self._quad) * u).sum(axis=1)
         # 2Q = 2QL.k + k^T M k is even by the integrality invariant
-        Q = (v[:, f + 1] + n * v[:, f + 2] + np.einsum("pi,pi->p", v[:, f + 3:], kp)) >> 1
-        return kp, v[:, :f].reshape(len(kp), len(self.quads), 4), Q, v[:, f]
+        return u[:, 2:], count, x, E[:-1], (np.repeat(a, count) + x * E[-1]) >> 1
 
     def to_json_obj(self):
         return {"r": self.r,
@@ -466,34 +502,46 @@ def _bound_rows(t, rows):
     """(top, levels, m) for lattice(n), by Fourier-Motzkin elimination of
     k'_{r-1}, ..., k'_0 from the admissibility rows and k' >= 0, with n kept
     as a parameter (Schrijver, Theory of Linear and Integer Programming,
-    1986, §12.2).  levels[i] = (R, c) holds the int64 rows with a nonzero
-    k'_i coefficient c: R . (n, k'_0, ..., k'_{i-1}, 1) + c * k'_i >= 0.
-    top holds the rows (a, d) left with n alone, a*n + d >= 0, which all hold
-    exactly when the n-th slice is nonempty.  m is the largest |entry| of
-    rows (the term's int64 matrix) and of levels."""
+    1986, §12.2).  A row R with k'_i coefficient c means R . (n, 1, k'_0,
+    ..., k'_{i-1}) + c * k'_i >= 0.  levels[i] = (Rt, d, lower) holds those
+    rows as the columns of Rt, the ones with c > 0 first (lower of them),
+    and d = |c|: a row with c > 0 bounds k'_i below by
+    -floor(R . (...) / d), one with c < 0 bounds it above by
+    floor(R . (...) / d).  top holds the rows (a, d) left with n alone,
+    a*n + d >= 0, which all hold exactly when the n-th slice is nonempty.
+    m is the largest |entry| of rows (the term's forms, L and H) and of
+    levels."""
     r = t.r
     sys_ = [(f.coeffs, f.constant) for f in t.inequality_forms()]
     sys_ += [(tuple(int(j == i) for j in range(r + 1)), 0) for i in range(1, r + 1)]
     levels = []
     for i in range(r, 0, -1):
-        levels.insert(0, [c[:i] + (d, c[i]) for c, d in sys_ if c[i]])
+        levels.insert(0, [(c[0], d) + c[1:i] + (c[i],) for c, d in sys_ if c[i]])
         sys_ = _fm_eliminate(sys_, i)
     m = max(abs(x) for row in rows + sum(levels, []) for x in row)
     if m >= 2 ** 63:      # rows past int64: the term stays usable, lattice(n) refuses
         return (), (), m
-    levels = [np.array(level, dtype=np.int64) for level in levels]
-    return tuple((c[0], d) for c, d in sys_), tuple((a[:, :-1], a[:, -1]) for a in levels), m
+    split = []
+    for level in levels:
+        a = np.array(sorted(level, key=lambda row: row[-1] < 0), dtype=np.int64)
+        split.append((a[:, :-1].T.copy(), np.abs(a[:, -1]), int((a[:, -1] > 0).sum())))
+    return tuple((c[0], d) for c, d in sys_), tuple(split), m
 
 
-def _arg_plan(quads):
-    """(forms, slots): the distinct nonzero forms among the five factorial
-    arguments B, C, B-C, D, E of every quad, and for each quad the index of
-    each argument's form in forms, or -1 for the zero form (whose factor is
-    exactly 1).  A form is (True, a, b) when it varies with k': its values
-    are column a of the flattened lattice(n) array F less column b (b >= 0),
-    or column a alone (b = -1); it is (False, a, b) when it is the constant
-    a*n + b for every k' of the n-th slice."""
-    index, forms, slots = {}, [], []
+def _arg_plan(t):
+    """(forms, slots, G): the distinct nonzero forms among the five
+    factorial arguments B, C, B-C, D, E of every quad, for each quad the
+    index of each argument's form in forms, or -1 for the zero form (whose
+    factor is exactly 1), and the int64 rows G over z of the forms that
+    vary with k', then L's when eps = -1 (numeric mode reads its parity),
+    then beta.  A form is (True, j, None) when it varies: its values on
+    the n-th slice are row j of what _slice_rows(n, G) builds; it is
+    (False, a, b) when it is the constant a*n + b for every k' of the n-th
+    slice.  B - C is the difference of two of the term's rows (it wraps
+    only when its entries pass int64, and then _slice_rows refuses every
+    n)."""
+    rows, quads = t._rows, t.quads
+    index, forms, slots, picks = {}, [], [], []
     for j, (B, C, D, E) in enumerate(quads):
         row = []
         for form, a, b in ((B, 4 * j, -1), (C, 4 * j + 1, -1), (B - C, 4 * j, 4 * j + 1),
@@ -504,11 +552,15 @@ def _arg_plan(quads):
                 continue
             if key not in index:
                 index[key] = len(forms)
-                forms.append((True, a, b) if any(form.coeffs[1:])
-                             else (False, form.coeffs[0], form.constant))
+                if any(form.coeffs[1:]):
+                    forms.append((True, len(picks), None))
+                    picks.append(rows[a] - rows[b] if b >= 0 else rows[a])
+                else:
+                    forms.append((False, form.coeffs[0], form.constant))
             row.append(index[key])
         slots.append(tuple(row))
-    return tuple(forms), tuple(slots)
+    tail = rows[-2:] if t.epsilon == -1 else rows[-1:]      # L, beta or beta alone
+    return tuple(forms), tuple(slots), np.vstack(picks + [tail])
 
 
 def newton_polytope_points(t: SpecialQTerm, n):

@@ -2,9 +2,8 @@
 
 The sequence attached to a special term is c_n = sum over admissible lattice
 points k' of t_{(n,k')}(e^{2pi*i/n}) — each coefficient samples the term at a
-different root of unity.  SpecialQTerm.lattice(n) gives the admissible
-points of each n together with their form values, Q and L, from one matrix
-product, and the two independent evaluation modes take those arrays:
+different root of unity.  The two independent evaluation modes read the
+n-th slice of admissible points from SpecialQTerm:
 
 * numeric — factors are evaluated directly at the root of unity, with exact
   zero bookkeeping: a factor 1 - q^j vanishes exactly iff n | j, so zeros are
@@ -12,22 +11,28 @@ product, and the two independent evaluation modes take those arrays:
   floating-point cancellation.  The term's argument plan (compiled once by
   SpecialQTerm) says which of the factorial arguments B, C, B-C, D, E of each
   quad are the zero form (factor exactly 1, skipped), constant in k' (one
-  gather per n) or varying (one gather per distinct form), so each distinct
-  argument is gathered once from the table of partial products and the
-  zero-count table.  O(P_n + n) per coefficient, with P_n ~ n^r the number
-  of lattice points.
-* exact — one integer ratio walk through the lattice points sums the
-  summands, for any term and any n.  Each polynomial is one Python int, its
-  value at q = 2^W (Kronecker substitution), with W a whole number of bytes
-  chosen from a proven bound on the final coefficients; a step multiplies
-  by 1 - q^j with one shift and one subtraction, and divides exactly by
-  doubling shifts.  The walk runs in Z[q]/(q^n - 1), i.e. mod 2^(nW) - 1,
-  when no step divides once the factors it both multiplies and divides by
-  cancel, and otherwise in Z[q], with the result folded mod q^n - 1 (the
-  full Laurent polynomial is what exact_polynomial returns).  Only the
-  final evaluation at the root of unity is numeric, in mpmath with
-  precision scaled to the coefficient size.  Coefficient growth like 4^n
-  makes double precision useless here beyond n ~ 35; this is not optional.
+  gather per n) or varying (one gather per distinct form).  The slice comes
+  as rows along the last coordinate x (SpecialQTerm._slice_rows): each
+  varying argument, and Q and L, are built per point as a row base plus a
+  stride times x, so no other form is evaluated per point and no product
+  with the term's matrix is formed.  Each distinct argument is gathered
+  once from the table of partial products and the zero-count table.
+  O(P_n + n) per coefficient, with P_n ~ n^r the number of lattice points.
+* exact — one integer ratio walk through the points of SpecialQTerm.lattice(n)
+  sums the summands, for any term and any n.  Each polynomial is one Python
+  int, its value at q = 2^W (Kronecker substitution), with W a whole number
+  of bytes chosen from a proven bound on the final coefficients; a step
+  multiplies by 1 - q^j with one shift and one subtraction, and divides
+  exactly by doubling shifts.  The walk runs in Z[q]/(q^n - 1), i.e. mod
+  2^(nW) - 1, when no step divides once the factors it both multiplies and
+  divides by cancel, and otherwise in Z[q], with the result folded mod
+  q^n - 1 (the full Laurent polynomial is what exact_polynomial returns).
+  Only the final evaluation at the root of unity is numeric:
+  _eval_ring_mp evaluates the folded vector of n integers in mpmath at 20
+  decimal digits plus the digits of its largest coefficient and of n.
+  That precision is a heuristic, not a need: the unfolded polynomial's
+  coefficients grow like C^n, but the folded vector is well-conditioned
+  (sum |a_i| / |c_n| measured 1.27 for 4_1 and 5_2; ROADMAP item 3).
 
 Downstream: growth-rate extrapolation (Richardson in 1/n plus a polynomial
 correction fit), Pade pole extraction on a rescaled Toeplitz system, the
@@ -134,15 +139,18 @@ def _term_id(t: SpecialQTerm) -> str:
 # numeric coefficients: exact zero bookkeeping at the root of unity
 
 def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
-    F, Q, L = t.lattice(n)[1:]
-    if not len(Q):
+    """c_n at q = e^{2pi*i/n} on the rows of the n-th slice
+    (SpecialQTerm._slice_rows): only the plan's varying arguments, L and Q
+    are built per point, each as its row base repeated over the row plus a
+    stride times the last coordinate.  Raises OverflowError where lattice(n)
+    does."""
+    forms, slots, G = t._plan
+    _, count, x, E, Q = t._slice_rows(n, G)
+    if not len(x):
         return 0j
-    forms, slots = t._plan
-    F = F.reshape(len(Q), -1)
-    # each distinct argument once: an int64 column, or an int for a form
+    # each distinct argument once: an int64 row of E, or an int for a form
     # constant in k'
-    vals = [(F[:, a] - F[:, b] if b >= 0 else F[:, a]) if varies else a * n + b
-            for varies, a, b in forms]
+    vals = [E[a] if varies else a * n + b for varies, a, b in forms]
     m_max = max((int(v.max()) if varies else v for (varies, _, _), v in zip(forms, vals)),
                 default=0)
     powz = np.exp(2j * np.pi * np.arange(n) / n)
@@ -178,7 +186,7 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
         val = np.where(zero, 0.0, val)
     val = _prod(val, powz[Q % n])
     if t.epsilon == -1:
-        val = np.where(L % 2 != 0, -val, val)
+        val = np.where(E[-1] % 2 != 0, -val, val)
     with np.errstate(over="ignore", invalid="ignore"):   # sequence raises on a non-finite c_n
         return complex(val.sum())
 

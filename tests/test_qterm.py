@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qbloch import series
 from qbloch.errors import PolytopeError
 from qbloch.laurent import LaurentPoly
 from qbloch.qterm import (LinForm, QTerm, QuadForm, SpecialQTerm,
@@ -97,6 +98,15 @@ def test_admissibility_and_polytope_points():
         assert newton_polytope_points(t, n) == [(k,) for k in range(n)]
 
 
+def _refused(t, n):
+    """lattice(n) and the numeric coefficient, which reads the slice's rows
+    without lattice's expansion, both refuse n."""
+    with pytest.raises(OverflowError):
+        t.lattice(n)
+    with pytest.raises(OverflowError):
+        series._coeff_numeric(t, n)
+
+
 def test_lattice_raises_before_an_int64_product_could_overflow():
     base = four_one_special()
 
@@ -104,8 +114,8 @@ def test_lattice_raises_before_an_int64_product_could_overflow():
         return SpecialQTerm(1, base.Q, LinForm((0, c)), 1, base.quads)
     t = with_l(2 ** 40)
     assert t.lattice(3)[3].tolist() == [t.L((3, k)) for k in range(3)]
-    with pytest.raises(OverflowError):
-        with_l(2 ** 62 + 1).lattice(3)       # L(3, 2) = 2**63 + 2 would wrap
+    assert series._coeff_numeric(t, 3) == series._coeff_numeric(base, 3)   # eps = 1
+    _refused(with_l(2 ** 62 + 1), 3)          # L(3, 2) = 2**63 + 2 would wrap
 
     def square(c):      # q^{c k^2 / 2} qbinom(10 n, k): k runs far past n
         z = LinForm((0, 0))
@@ -113,23 +123,19 @@ def test_lattice_raises_before_an_int64_product_could_overflow():
                             ((LinForm((10, 0)), LinForm((0, 1)), z, z),))
     t = square(2 ** 50)
     assert t.lattice(1)[2].tolist() == [t.Q((1, k)) for k in range(11)]
-    with pytest.raises(OverflowError):
-        square(2 ** 60).lattice(1)           # 2 Q(1, 10) = 100 * 2**60 would wrap
+    assert series._coeff_numeric(t, 1) == 2 ** 10      # q = 1: sum of binom(10, k)
+    _refused(square(2 ** 60), 1)              # 2 Q(1, 10) = 100 * 2**60 would wrap
 
     big = 3 * 2 ** 61      # k <= n + big: refused at the first level, before
     z = LinForm((0, 0))    # an interval of ~big points is built
-    t = SpecialQTerm(1, base.Q, z, 1,
-                     ((z, z, LinForm((1, 1), big), LinForm((1, 0), big)),
-                      (z, z, LinForm((1, 0), big), LinForm((1, -1), big))))
-    with pytest.raises(OverflowError):
-        t.lattice(3)
+    _refused(SpecialQTerm(1, base.Q, z, 1,
+                          ((z, z, LinForm((1, 1), big), LinForm((1, 0), big)),
+                           (z, z, LinForm((1, 0), big), LinForm((1, -1), big)))), 3)
 
     c, z = 2 ** 40, LinForm((0, 0, 0))    # eliminating k'_1 multiplies entries
-    t = SpecialQTerm(2, QuadForm(((0,) * 3,) * 3, (0,) * 3), z, 1,
-                     ((LinForm((c, 0, 0)), LinForm((0, c, c)), z, z),
-                      (LinForm((0, c, c)), LinForm((0, c, 0)), z, z)))
-    with pytest.raises(OverflowError):
-        t.lattice(1)
+    _refused(SpecialQTerm(2, QuadForm(((0,) * 3,) * 3, (0,) * 3), z, 1,
+                          ((LinForm((c, 0, 0)), LinForm((0, c, c)), z, z),
+                           (LinForm((0, c, c)), LinForm((0, c, 0)), z, z))), 1)
 
 
 def test_unbounded_polytope_rejected():

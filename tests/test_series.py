@@ -275,6 +275,22 @@ def _corpus():
             ((z2, z2, LinForm((0, 0, 1)), z2),
              (z2, z2, LinForm((0, 0, 1)), LinForm((0, 1, 0))),
              (LinForm((1, 0, 0), -1), LinForm((0, 0, 1)), z2, z2))),
+        # q^{k(k-1)/2} qbinom(n-1, k) (q)_{2m}/(q)_m with m = n-1-k, nonzero at
+        # the root of unity for 2m < n: the last coordinate's strides are
+        # 1, -1 and -2, and 2Q is quadratic in it
+        "stride_two": SpecialQTerm(
+            1, QuadForm(((0, 0), (0, 1)), (0, Fraction(-1, 2))), z1, 1,
+            ((LinForm((1, 0), -1), LinForm((0, 1)), LinForm((2, -2), -2), LinForm((1, -1), -1)),)),
+        # (-1)^{k2} q^{-n k1 + (k1^2 + k1)/2 + k1 k2 + (k2 - k2^2)/2}
+        # qbinom(n-1, k1+k2) qbinom(k1+k2, k2) (q)_{2n-2-k1-2k2}/(q)_{n-1-k1-k2}
+        # on the simplex: r = 2, eps = -1, last-coordinate strides 1, -1, -2
+        "stride_r2": SpecialQTerm(
+            2, QuadForm(((0, -1, 0), (-1, 1, 1), (0, 1, -1)),
+                        (0, Fraction(1, 2), Fraction(1, 2))),
+            LinForm((0, 0, 1)), -1,
+            ((LinForm((1, 0, 0), -1), LinForm((0, 1, 1)), z2, z2),
+             (LinForm((0, 1, 1)), LinForm((0, 0, 1)),
+              LinForm((2, -1, -2), -2), LinForm((1, -1, -1), -1)))),
     }
 
 
@@ -361,13 +377,13 @@ def test_numeric_coefficient_is_the_reference_bit_for_bit(name):
 
 def test_argument_plan_covers_every_branch():
     # 4_1: of 10 arguments, 6 are zero forms and 2 (n and n - 1) constant in k'
-    forms, slots = four_one_special()._plan
+    forms, slots, _ = four_one_special()._plan
     assert sum(i < 0 for quad in slots for i in quad) == 6
     assert sorted(varies for varies, _, _ in forms) == [False, False, True, True]
     # the test corpus reaches every branch of the plan
     seen = set()
     for t in CORPUS.values():
-        forms, slots = t._plan
+        forms, slots, _ = t._plan
         args = [i for quad in slots for i in quad]
         if -1 in args:
             seen.add("zero form")

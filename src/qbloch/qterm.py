@@ -215,7 +215,7 @@ class SpecialQTerm:
     quad's B, C, D, E, then L, then beta (_rows); the matrix H' with 2Q(k) =
     u^T H' u + x * beta(z) (_quad); the exact lower and upper bound rows of
     every coordinate k'_i, affine in n and the earlier coordinates
-    (_bound_rows), from which _slice_rows(n) enumerates; and the plan of
+    (_bound_rows), from which _slice_rows enumerates; and the plan of
     the five factorial arguments B, C, B-C, D, E of every quad with the
     rows of those that vary (_arg_plan), from which numeric coefficients
     gather.
@@ -286,43 +286,48 @@ class SpecialQTerm:
         n = int(n)
         if n < 0:
             raise ValueError("n must be nonnegative")
-        pre, count, x, E, Q = self._slice_rows(n, self._rows)
-        kp = np.repeat(pre, count, axis=0)
+        u, count, x, E, Q = self._slice_rows([n], self._rows)
+        kp = np.repeat(u[:, 2:], count, axis=0)
         if self.r:          # r = 0 has no last coordinate: its one point is k' = ()
             kp = np.column_stack((kp, x))
         f = 4 * len(self.quads)
         return kp, E[:f].T.reshape(len(x), len(self.quads), 4), Q, E[f]
 
-    def _slice_rows(self, n, R):
-        """The n-th slice as rows along its last coordinate x, and the
-        values of the int64 rows R over z (see the class) at its points:
-        (pre, count, x, E, Q).  Row i holds the count[i] points (pre[i], x)
-        with x running over an integer interval; x has one entry per point,
-        and the points are in lexicographic order (for r = 0, each slice is
-        one row of one point, at x = 0).  R's last row must be the term's
-        beta (self._rows[-1]).  E[j] holds the values of R's row j, for every
-        row but the last: per point, the row base (the row at u = (n, 1,
-        pre[i])) repeated over the row plus x times the row's x coefficient.
-        Q[p] = Q(k), from 2Q = a + x * beta with a = u^T H' u per row.
+    def _slice_rows(self, ns, R):
+        """The slices of the increasing n in ns as rows along their last
+        coordinate x, and the values of the int64 rows R over z (see the
+        class) at their points: (u, count, x, E, Q).  Row i, u[i] = (n, 1,
+        pre), holds the count[i] points (pre, x) of the n-th slice with x
+        running over an integer interval; x has one entry per point.  The
+        rows come in the order of ns, and within one n the points are in
+        lexicographic order (for r = 0, each slice is one row of one point,
+        at x = 0), so each point's n is column 0 of its row.  R's last row
+        must be the term's beta (self._rows[-1]).  E[j] holds the values of
+        R's row j, for every row but the last: per point, the row base (the
+        row at u[i]) repeated over the row plus x times the row's x
+        coefficient.  Q[p] = Q(k), from 2Q = a + x * beta with a = u^T H' u
+        per row.
 
         Each prefix k'_0..k'_{i-1} gives one integer interval for k'_i from
         the bound rows, and every admissibility inequality is a bound row of
         its last variable, so the points are exactly the support of the n-th
         coefficient.  Raises OverflowError before any value of a bound row,
         of 2Q, or of a row of R with entries at most the term's m
-        (_bound_rows) could leave the int64 range."""
+        (_bound_rows) could leave the int64 range.  The guards take the
+        largest n and x of all the slices, so several n can refuse together
+        where each alone would pass; one n refuses exactly as lattice(n)."""
         top, levels, m = self._bounds
-        u = np.array([[n, 1]], dtype=np.int64)
-        if not all(a * n + d >= 0 for a, d in top):
-            u = u[:0]
+        u = np.array([(n, 1) for n in ns if all(a * n + d >= 0 for a, d in top)],
+                     dtype=np.int64).reshape(-1, 2)
         # as left for r = 0, which has no level: one point per slice, at x = 0
         count, x = np.ones(len(u), dtype=np.int64), np.zeros(len(u), dtype=np.int64)
-        s = n + 1     # bounds the 1-norm of every (n, k'_0, ..., k'_{i-1}, 1) so far
+        s = ns[-1] + 1    # bounds the 1-norm of every (n, k'_0, ..., k'_{i-1}, 1) so far
+        which = ns[0] if len(ns) == 1 else f"{ns[0]}..{ns[-1]}"
         for i, (Rt, d, lower) in enumerate(levels):
             if i:
                 u = np.column_stack((np.repeat(u, count, axis=0), x))
             if m * s >= 2 ** 63:
-                raise OverflowError(f"lattice({n}) would leave the int64 range")
+                raise OverflowError(f"lattice({which}) would leave the int64 range")
             q = (u @ Rt) // d
             lo = -q[:, :lower].min(axis=1)
             count = np.maximum(q[:, lower:].min(axis=1) - lo + 1, 0)
@@ -330,12 +335,12 @@ class SpecialQTerm:
             x += np.arange(len(x))
             s += int(x.max(initial=0))
         if m * s * s >= 2 ** 63:
-            raise OverflowError(f"lattice({n}) would leave the int64 range")
+            raise OverflowError(f"lattice({which}) would leave the int64 range")
         E = np.repeat((u @ R[:, :-1].T).T, count, axis=1)
         E += R[:, -1:] * x
         a = ((u @ self._quad) * u).sum(axis=1)
         # 2Q = 2QL.k + k^T M k is even by the integrality invariant
-        return u[:, 2:], count, x, E[:-1], (np.repeat(a, count) + x * E[-1]) >> 1
+        return u, count, x, E[:-1], (np.repeat(a, count) + x * E[-1]) >> 1
 
     def to_json_obj(self):
         return {"r": self.r,
@@ -535,7 +540,7 @@ def _arg_plan(t):
     factor is exactly 1), and the int64 rows G over z of the forms that
     vary with k', then L's when eps = -1 (numeric mode reads its parity),
     then beta.  A form is (True, j, None) when it varies: its values on
-    the n-th slice are row j of what _slice_rows(n, G) builds; it is
+    the slices are row j of what _slice_rows(ns, G) builds; it is
     (False, a, b) when it is the constant a*n + b for every k' of the n-th
     slice.  B - C is the difference of two of the term's rows (it wraps
     only when its entries pass int64, and then _slice_rows refuses every

@@ -2,8 +2,9 @@
 
 The sequence attached to a special term is c_n = sum over admissible lattice
 points k' of t_{(n,k')}(e^{2pi*i/n}) — each coefficient samples the term at a
-different root of unity.  The two independent evaluation modes read the
-n-th slice of admissible points from SpecialQTerm:
+different root of unity.  The two evaluation modes read the n-th slice of
+admissible points from the same enumeration, SpecialQTerm._slice_rows, and
+share nothing after it:
 
 * numeric — factors are evaluated directly at the root of unity, with exact
   zero bookkeeping: a factor 1 - q^j vanishes exactly iff n | j, so zeros are
@@ -11,13 +12,17 @@ n-th slice of admissible points from SpecialQTerm:
   floating-point cancellation.  The term's argument plan (compiled once by
   SpecialQTerm) says which of the factorial arguments B, C, B-C, D, E of each
   quad are the zero form (factor exactly 1, skipped), constant in k' (one
-  gather per n) or varying (one gather per distinct form).  The slice comes
-  as rows along the last coordinate x (SpecialQTerm._slice_rows): each
-  varying argument, and Q and L, are built per point as a row base plus a
-  stride times x, so no other form is evaluated per point and no product
-  with the term's matrix is formed.  Each distinct argument is gathered
-  once from the table of partial products and the zero-count table.
-  O(P_n + n) per coefficient, with P_n ~ n^r the number of lattice points.
+  gather per n) or varying (one gather per distinct form).  sequence runs
+  consecutive n in blocks of about _BLOCK points plus table entries, and
+  each block is one pass: one enumeration of its slices as rows along the
+  last coordinate x, where each varying argument, and Q and L, are built
+  per point as a row base plus a stride times x (no other form is
+  evaluated per point, and no product with the term's matrix is formed);
+  one exp for the roots of unity of all its n; one table of partial
+  products with a row per n, one cumprod; one gather per distinct argument
+  and one product chain over all its points; then a sum per n.  The work
+  is O(P + sum of n) per block, with P_n ~ n^r lattice points per n, and
+  every c_n is bit for bit what the same code gives for n alone.
 * exact — one integer ratio walk through the points of SpecialQTerm.lattice(n)
   sums the summands, for any term and any n.  Each polynomial is one Python
   int, its value at q = 2^W (Kronecker substitution), with W a whole number
@@ -81,6 +86,7 @@ _NEAR_DISK = 1.5          # poles within this multiple of the radius are compare
 _CONSISTENT_TOL = 0.05    # relative defects below this read "consistent"
 _INCONSISTENT_TOL = 0.25  # and above this "inconsistent"
 _LOG10_2 = (30102999566398119521373889472449302676, 10 ** 38)   # log10(2), rounded down
+_BLOCK = 12288            # points plus table entries per block of numeric coefficients
 
 
 # ----------------------------------------------------------------------
@@ -139,30 +145,89 @@ def _term_id(t: SpecialQTerm) -> str:
 # numeric coefficients: exact zero bookkeeping at the root of unity
 
 def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
-    """c_n at q = e^{2pi*i/n} on the rows of the n-th slice
-    (SpecialQTerm._slice_rows): only the plan's varying arguments, L and Q
+    """c_n at q = e^{2pi*i/n}: the block of the one n (_block_numeric).
+    Raises OverflowError where lattice(n) does."""
+    return _block_numeric(t, [n])[0][0]
+
+
+def _block_numeric(t: SpecialQTerm, ns):
+    """(coeffs, cost): c_n at q = e^{2pi*i/n} for every n of the
+    consecutive increasing ns, in one pass over the rows of their slices
+    (SpecialQTerm._slice_rows).  Only the plan's varying arguments, L and Q
     are built per point, each as its row base repeated over the row plus a
-    stride times the last coordinate.  Raises OverflowError where lattice(n)
-    does."""
-    forms, slots, G = t._plan
-    _, count, x, E, Q = t._slice_rows(n, G)
+    stride times the last coordinate; the n whose largest argument reaches
+    n (z > 0, so q-Lucas binomials and zero counts apply) and the others
+    are summed in separate runs (_summands).  cost, the largest count of
+    points plus table entries of one n, sizes the next block.  Raises
+    OverflowError where _slice_rows(ns) does."""
+    forms, _, G = t._plan
+    u, count, x, E, Q = t._slice_rows(ns, G)
+    coeffs = [0j] * len(ns)
     if not len(x):
-        return 0j
-    # each distinct argument once: an int64 row of E, or an int for a form
-    # constant in k'
-    vals = [E[a] if varies else a * n + b for varies, a, b in forms]
-    m_max = max((int(v.max()) if varies else v for (varies, _, _), v in zip(forms, vals)),
-                default=0)
-    powz = np.exp(2j * np.pi * np.arange(n) / n)
-    # m // n = #{j <= m : n | j}; NP[m] = prod of the nonvanishing factors 1-q^j
+        return coeffs, 0
+    # the points of the n-th slice are [lo, hi): its rows are consecutive
+    ends = np.concatenate(([0], np.cumsum(count)))[
+        np.searchsorted(u[:, 0], np.arange(ns[0], ns[-1] + 2))]
+    lo, hi = ends[:-1], ends[1:]
+    keep = hi > lo
+    nn, lo, hi = np.arange(ns[0], ns[-1] + 1)[keep], lo[keep], hi[keep]
+    # the largest argument of each n (0 without any); row by row, as
+    # reduceat on a 2-d E copies it
+    m_max = np.max([np.maximum.reduceat(E[a], lo) if varies else a * nn + b
+                    for varies, a, b in forms] + [0 * nn], axis=0)
+    z = m_max // nn
+    cut = np.flatnonzero((z[1:] > 0) != (z[:-1] > 0)) + 1
+    with np.errstate(over="ignore", invalid="ignore"):   # sequence raises on a non-finite c_n
+        for i, j in zip(np.append(0, cut).tolist(), np.append(cut, len(nn)).tolist()):
+            val = _summands(t, E, Q, nn[i:j], lo[i:j], hi[i:j], m_max[i:j], int(z[i:j].max()))
+            p0 = lo[i]
+            for n, a, b in zip(nn[i:j].tolist(), (lo[i:j] - p0).tolist(), (hi[i:j] - p0).tolist()):
+                coeffs[n - ns[0]] = complex(val[a:b].sum())
+    return coeffs, int((hi - lo + m_max).max()) + 1
+
+
+def _summands(t, E, Q, nn, lo, hi, m_max, z):
+    """The summands at the points [lo[0], hi[-1]) of E and Q, which are the
+    points of the n in nn, where z = max(m_max // nn) is 0 for every n or
+    positive for every n.  Every n has its row of one table of partial
+    products NP (and of zero counts), each distinct argument is gathered
+    once from it, and the products run in one _prod chain; with one n,
+    nothing per point is added to that.  n divides only per row or per n:
+    zero counts are comparisons m >= l*n, and Q mod n is taken per n."""
+    forms, slots, _ = t._plan
+    p0, p1 = int(lo[0]), int(hi[-1])
+    E, Q = E[:, p0:p1], Q[p0:p1]
+    k, W = len(nn), int(m_max.max()) + 1
+    one = k == 1
+    pts, col = hi - lo, nn[:, None]
+    # powz holds q^j for j < n of every n, from start on
+    start = np.cumsum(nn) - nn
+    powz = np.exp(2j * np.pi * (np.arange(int(nn.sum())) - np.repeat(start, nn))
+                  / np.repeat(nn, nn))
     per = 1 - powz
-    per[0] = 1
-    NP = np.cumprod(np.resize(per, m_max + 1))
-    z = m_max // n
-    nps = [NP[v] if varies else NP[v:v + 1] for (varies, _, _), v in zip(forms, vals)]
+    per[start] = 1
+    # row i, entry m <= m_max: zt = m // n = #{j <= m : n | j}, and NP the
+    # product of the nonvanishing factors 1 - q^j, j <= m; 1 past m_max
+    m = np.minimum(np.arange(W), m_max[:, None])
+    zt = np.zeros((k, W), dtype=np.int64)
+    for ell in range(1, z + 1):
+        zt += m >= ell * col
+    NP = per[start[:, None] + m - zt * col]
+    NP[np.arange(W) > m_max[:, None]] = 1
+    NP, zt = np.cumprod(NP, axis=1).ravel(), zt.ravel()
+    # flat table index of each distinct argument: per point for a varying
+    # form, per n (then repeated over its points) for a constant one
+    row = np.arange(0, k * W, W)
+    off = 0 if one else np.repeat(row, pts)
+    idx = [(E[a] if one else E[a] + off) if varies else row + (a * nn + b)
+           for varies, a, b in forms]
+
+    def gather(table):
+        return [table[i] if varies or one else np.repeat(table[i], pts)
+                for (varies, _, _), i in zip(forms, idx)]
+    nps = gather(NP)
     if z:
-        zt = np.arange(m_max + 1) // n
-        zs = [zt[v] if varies else v // n for (varies, _, _), v in zip(forms, vals)]
+        zs = gather(zt)
         binom = np.array([[math.comb(i, j) for j in range(z + 1)] for i in range(z + 1)],
                          dtype=float)
     # q-binomial at the root of unity (q-Lucas): zero iff the zero counts
@@ -184,11 +249,21 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
             zero = zero | (zs[d] - (zs[e] if e >= 0 else 0) > 0)
     if np.any(zero):
         val = np.where(zero, 0.0, val)
-    val = _prod(val, powz[Q % n])
+    val = _prod(val, powz[_powers(Q, lo - p0, hi - p0, nn, start)])
     if t.epsilon == -1:
         val = np.where(E[-1] % 2 != 0, -val, val)
-    with np.errstate(over="ignore", invalid="ignore"):   # sequence raises on a non-finite c_n
-        return complex(val.sum())
+    return val
+
+
+def _powers(Q, lo, hi, nn, start):
+    """start + Q mod n at the points [lo, hi) of each n in nn, taken per n
+    with a scalar n: where q^Q sits in _summands' powz."""
+    out = np.empty_like(Q)
+    for a, b, n, s in zip(lo.tolist(), hi.tolist(), nn.tolist(), start.tolist()):
+        np.remainder(Q[a:b], n, out=out[a:b])
+        if s:
+            out[a:b] += s
+    return out
 
 
 def _prod(x, y):
@@ -366,17 +441,39 @@ def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
     return _eval_ring_mp(_unpack(v << origin % n * W, W, n, ring=True), n)
 
 
+def _sequence_numeric(t: SpecialQTerm, n_max: int):
+    """c_1, ..., c_{n_max} in numeric mode, in blocks of consecutive n of
+    about _BLOCK points plus table entries each: a block at most doubles
+    the previous one's count of n, and an empty one is followed by one n.
+    A block that refuses is run again one n at a time, lazily, so each n
+    refuses exactly as lattice(n) does, in order."""
+    n, k = 1, 1
+    while n <= n_max:
+        ns = range(n, min(n + k, n_max + 1))
+        try:
+            coeffs, cost = _block_numeric(t, ns)
+        except OverflowError:
+            if len(ns) == 1:
+                raise
+            coeffs, cost = (_coeff_numeric(t, m) for m in ns), 0
+        yield from coeffs
+        n += len(ns)
+        k = max(1, min(2 * len(ns), _BLOCK // cost)) if cost else 1
+
+
 def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
-    """c_n for n = 1..n_max, one n at a time.  Raises OverflowError at the
-    first c_n that is not finite in double precision (either mode)."""
+    """c_n for n = 1..n_max: numeric mode in blocks of consecutive n
+    (_sequence_numeric), exact mode one n at a time.  Raises OverflowError at
+    the first c_n that is not finite in double precision (either mode), or
+    at the first n that lattice(n) refuses, with its message."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if mode not in ("numeric", "exact"):
         raise ValueError(f"mode must be 'numeric' or 'exact', got {mode!r}")
-    f = _coeff_numeric if mode == "numeric" else _coeff_exact
+    values = (_sequence_numeric(t, n_max) if mode == "numeric"
+              else (_coeff_exact(t, n) for n in range(1, n_max + 1)))
     coeffs = []
-    for n in range(1, n_max + 1):
-        c = f(t, n)
+    for n, c in zip(range(1, n_max + 1), values):
         if not cmath.isfinite(c):
             raise OverflowError(f"c_{n} = {c} is not finite in double precision "
                                 f"({mode} mode)")
@@ -385,7 +482,9 @@ def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
 
 
 def crosscheck_exact_numeric(t: SpecialQTerm, n: int) -> float:
-    """|c_exact - c_numeric| — two fully independent evaluation routes."""
+    """|c_exact - c_numeric| — two evaluation routes that share only the
+    enumeration of the slice (SpecialQTerm._slice_rows): the ratio walk in
+    Z[q] with mpmath, and floating point at the root of unity."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return abs(_coeff_exact(t, n) - _coeff_numeric(t, n))

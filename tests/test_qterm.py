@@ -10,6 +10,7 @@ from qbloch.qterm import (LinForm, QTerm, QuadForm, SpecialQTerm,
                           four_one_special, newton_polytope_points,
                           one_variable_family, q_binomial, q_factorial,
                           q_pochhammer_ratio)
+from qbloch.series import ConjectureConfig, check_conjecture, sequence
 
 
 def test_linform_affine_and_homog():
@@ -98,13 +99,31 @@ def test_admissibility_and_polytope_points():
         assert newton_polytope_points(t, n) == [(k,) for k in range(n)]
 
 
+def _refusal(f, *args):
+    with pytest.raises(OverflowError) as info:
+        f(*args)
+    return str(info.value)
+
+
 def _refused(t, n):
     """lattice(n) and the numeric coefficient, which reads the slice's rows
-    without lattice's expansion, both refuse n."""
-    with pytest.raises(OverflowError):
+    without lattice's expansion, both refuse n with one message; sequence
+    to n refuses at the first n0 <= n that lattice refuses, with lattice's
+    message, and check_conjecture notes it."""
+    msg = _refusal(t.lattice, n)
+    assert _refusal(series._coeff_numeric, t, n) == msg
+    n0 = next(m for m in range(1, n + 1) if _refuses(t, m))
+    assert _refusal(sequence, t, n) == _refusal(t.lattice, n0)
+    rep = check_conjecture(t, ConjectureConfig(n_max=n, cv_override=(1,)))
+    assert rep.verdict == "inconclusive" and f"sequence: {_refusal(t.lattice, n0)}" in rep.notes
+
+
+def _refuses(t, n):
+    try:
         t.lattice(n)
-    with pytest.raises(OverflowError):
-        series._coeff_numeric(t, n)
+    except OverflowError:
+        return True
+    return False
 
 
 def test_lattice_raises_before_an_int64_product_could_overflow():
@@ -136,6 +155,20 @@ def test_lattice_raises_before_an_int64_product_could_overflow():
     _refused(SpecialQTerm(2, QuadForm(((0,) * 3,) * 3, (0,) * 3), z, 1,
                           ((LinForm((c, 0, 0)), LinForm((0, c, c)), z, z),
                            (LinForm((0, c, c)), LinForm((0, c, 0)), z, z))), 1)
+
+
+def test_sequence_refuses_inside_a_block_where_lattice_does(monkeypatch):
+    base = four_one_special()
+    # 2Q and the rows are bounded by m s^2 = 2**50 (2n)^2, past int64 from n = 46
+    t = SpecialQTerm(1, base.Q, LinForm((0, 2 ** 50)), 1, base.quads)
+    assert not _refuses(t, 45) and _refuses(t, 46)
+    blocks, block = [], series._block_numeric
+    monkeypatch.setattr(series, "_block_numeric", lambda t, ns: blocks.append(ns) or block(t, ns))
+    assert sequence(t, 45).coeffs == sequence(base, 45).coeffs        # eps = 1
+    blocks.clear()
+    _refused(t, 60)
+    # a block held n = 46 with n below it, and refused as a whole
+    assert any(len(ns) > 1 and ns[0] < 46 <= ns[-1] for ns in blocks)
 
 
 def test_unbounded_polytope_rejected():

@@ -318,12 +318,27 @@ def _assert_exact_matches_numeric(t, ns):
         assert abs(e - x) <= 1e-8 * (1 + abs(e)), n
 
 
+def _reference_slice(t, n):
+    """(F, Q, L) of the n-th slice as lattice(n) returns them: for n <= 60
+    (n <= 20 when r = 2) from _brute_force_points with every form evaluated
+    per point, outside SpecialQTerm's enumeration; beyond, from lattice(n).
+    The points come in the same lexicographic order either way."""
+    if n > (20 if t.r == 2 else 60):
+        return t.lattice(n)[1:]
+    ks = [(n,) + kp for kp in _brute_force_points(t, n)]
+    F = np.array([[[f(k) for f in quad] for quad in t.quads] for k in ks], dtype=np.int64)
+    return (F.reshape(len(ks), len(t.quads), 4),
+            np.array([t.Q(k) for k in ks], dtype=np.int64),
+            np.array([t.L(k) for k in ks], dtype=np.int64))
+
+
 def _numeric_reference(t, n):
     """The numeric coefficient with every factorial argument B, C, B-C, D, E
     of every quad gathered and applied, zero forms and repeats included, on
-    (P, len(quads)) arrays: the computation that series._coeff_numeric's
-    argument plan only shortens, by exact factors 1 and reused gathers."""
-    _, F, Q, L = t.lattice(n)
+    (P, len(quads)) arrays, one n at a time: the computation that
+    series._coeff_numeric's argument plan only shortens, by exact factors 1
+    and reused gathers, and that its blocks of n only batch."""
+    F, Q, L = _reference_slice(t, n)
     b, c, d, e = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
     m_max = int(F.max(initial=0))
     powz = np.exp(2j * np.pi * np.arange(n) / n)
@@ -373,6 +388,26 @@ def test_numeric_coefficient_is_the_reference_bit_for_bit(name):
     # temporary operand may run in place in that temporary, operands swapped
     more = {"four_one": [500, 1000], "five_two": [200]}
     _assert_numeric_is_the_reference(t, more.get(name, []))
+
+
+@lru_cache(maxsize=None)
+def _reference_sequence(name, n_max):
+    t = CORPUS.get(name) or four_one_special()
+    return tuple(_numeric_reference(t, n) for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("block", [None, 1, 10 ** 5])
+@pytest.mark.parametrize("name, n_max",
+                         [(name, 60 if t.r == 2 else 120) for name, t in sorted(CORPUS.items())]
+                         + [("four_one", 1000), ("five_two", 200)])
+def test_numeric_sequence_is_the_reference_bit_for_bit(name, n_max, block, monkeypatch):
+    # _BLOCK = 1 runs every n alone; 10**5 puts up to hundreds of n in one
+    # block, with arrays of tens of thousands of points, past numpy's 256 KiB
+    # temporary elision threshold
+    if block is not None:
+        monkeypatch.setattr(series, "_BLOCK", block)
+    t = CORPUS.get(name) or four_one_special()
+    assert sequence(t, n_max, "numeric").coeffs == _reference_sequence(name, n_max)
 
 
 def test_argument_plan_covers_every_branch():

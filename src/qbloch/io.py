@@ -102,8 +102,10 @@ def _parse_quadform(ck, obj, pointer, nvars):
     else:
         for i, x in enumerate(lin):
             try:
+                if isinstance(x, bool):
+                    raise TypeError(x)
                 linear.append(Fraction(x))
-            except (ValueError, TypeError, ZeroDivisionError):
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError):  # Infinity overflows
                 ck.fail(f"{pointer}/linear/{i}", f"not a rational: {x!r}")
                 linear.append(Fraction(0))
             if not -INT64 <= 2 * linear[-1] < INT64:
@@ -240,21 +242,31 @@ def write_csv_atomic(path, rows, header):
     _write_atomic(path, write, newline="")
 
 
+def _finite_real(x):
+    """x as a float if it is a JSON number (not a boolean) that is finite in
+    double precision, else None."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:       # an integer past the double range
+        return None
+    return x if abs(x) < float("inf") else None     # false for NaN too
+
+
 def load_cv_file(path):
     """Critical values supplied externally: JSON array of [re, im] pairs
-    (or bare reals)."""
+    (or bare reals), every number finite; booleans are not numbers."""
     with open(path, "r") as f:
         obj = json.load(f)
     if not isinstance(obj, list):
         raise SchemaError("critical-value file rejected", ["/: expected an array"])
     out = []
     for i, v in enumerate(obj):
-        if isinstance(v, (int, float)):
-            out.append(complex(v))
-        elif (isinstance(v, list) and len(v) == 2
-              and all(isinstance(x, (int, float)) for x in v)):
-            out.append(complex(v[0], v[1]))
-        else:
+        pair = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+        re, im = (_finite_real(x) for x in pair)
+        if re is None or im is None:
             raise SchemaError("critical-value file rejected",
-                              [f"/{i}: expected a real or an [re, im] pair"])
+                              [f"/{i}: expected a finite real or an [re, im] pair of finite reals"])
+        out.append(complex(re, im))
     return tuple(out)

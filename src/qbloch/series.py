@@ -54,8 +54,6 @@ turns that into an inconclusive note.
 from __future__ import annotations
 
 import cmath
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -98,7 +96,6 @@ class SeriesData:
     n_min: int
     n_max: int
     mode: str               # "numeric" | "exact"
-    term_id: str = ""
 
     def __post_init__(self):
         if len(self.coeffs) != self.n_max - self.n_min + 1:
@@ -118,7 +115,7 @@ class SeriesData:
         if n_max >= self.n_max:
             return self
         return SeriesData(self.coeffs[: n_max - self.n_min + 1],
-                          self.n_min, n_max, self.mode, self.term_id)
+                          self.n_min, n_max, self.mode)
 
     def to_csv_rows(self):
         """Rows (n, Re c_n, Im c_n, log|c_n|, running growth estimate)."""
@@ -134,11 +131,6 @@ class SeriesData:
                 growth = ""
             rows.append((n, cn.real, cn.imag, la, growth))
         return rows
-
-
-def _term_id(t: SpecialQTerm) -> str:
-    blob = json.dumps(t.to_json_obj(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +470,7 @@ def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
             raise OverflowError(f"c_{n} = {c} is not finite in double precision "
                                 f"({mode} mode)")
         coeffs.append(c)
-    return SeriesData(tuple(coeffs), 1, n_max, mode, _term_id(t))
+    return SeriesData(tuple(coeffs), 1, n_max, mode)
 
 
 def crosscheck_exact_numeric(t: SpecialQTerm, n: int) -> float:
@@ -707,58 +699,51 @@ def check_conjecture(t: SpecialQTerm, cfg: ConjectureConfig = None) -> Conjectur
         except (ValueError, ArithmeticError) as exc:
             cv_vals = ()
             notes.append(f"critical-value computation failed: {exc}")
+    est, poles, radius_defect, pole_defects = None, (), None, ()
+    verdict = "inconclusive"
     try:
         s = sequence(t, cfg.n_max, cfg.mode)
     except OverflowError as exc:
         notes.append(f"sequence: {exc}")
-        return ConjectureReport("inconclusive", cv_vals, None, None, None,
-                                None, (), (), tuple(notes), diagnostics)
-    est = None
-    try:
-        est = growth_rate(s)
-        diagnostics["growth"] = est.diagnostics
-    except InsufficientDataError as exc:
-        notes.append(f"growth estimation: {exc}")
-    poles = ()
-    try:
-        poles = tuple(pade_poles(s.truncate(_PADE_N), _PADE_NUM, _PADE_DEN))
-    except (SingularSystemError, InsufficientDataError, ValueError) as exc:
-        notes.append(f"pade: {exc}")
-    if not cv_vals:
-        notes.append("empty critical-value set")
-        return ConjectureReport("inconclusive", cv_vals,
-                                est.radius if est else None,
-                                est.c if est else None,
-                                est.poly_exponent if est else None,
-                                None, poles, (), tuple(notes), diagnostics)
-    if est is None:
-        return ConjectureReport("inconclusive", cv_vals, None, None, None,
-                                None, poles, (), tuple(notes), diagnostics)
-    min_cv = min(abs(v) for v in cv_vals)
-    radius_defect = abs(est.radius - min_cv) / min_cv
-    near = [p for p in poles if abs(p) <= _NEAR_DISK * est.radius]
-    pole_defects = tuple(
-        min(abs(p - v) / abs(v) for v in cv_vals) for p in near)
-    # The verdict keys on the dominant singularity only: a branch point
-    # makes the approximant lay a string of genuine poles along the cut,
-    # so poles beyond the nearest are reported but never counted against.
-    radius_ok = radius_defect < _CONSISTENT_TOL
-    if near:
-        nearest_idx = min(range(len(near)), key=lambda i: abs(near[i]))
-        nearest_defect = pole_defects[nearest_idx]
-    else:
-        nearest_defect = None
-        notes.append("no poles inside the near-disk region")
-    if radius_ok and nearest_defect is not None and nearest_defect < _CONSISTENT_TOL:
-        verdict = "consistent"
-    elif radius_defect > _INCONSISTENT_TOL or (
-            nearest_defect is not None and nearest_defect > _INCONSISTENT_TOL):
-        verdict = "inconsistent"
-    else:
-        verdict = "inconclusive"
-    return ConjectureReport(verdict, cv_vals, est.radius, est.c,
-                            est.poly_exponent, radius_defect, poles,
-                            pole_defects, tuple(notes), diagnostics)
+        s = None
+    if s is not None:
+        try:
+            est = growth_rate(s)
+            diagnostics["growth"] = est.diagnostics
+        except InsufficientDataError as exc:
+            notes.append(f"growth estimation: {exc}")
+        try:
+            poles = tuple(pade_poles(s.truncate(_PADE_N), _PADE_NUM, _PADE_DEN))
+        except (SingularSystemError, InsufficientDataError, ValueError) as exc:
+            notes.append(f"pade: {exc}")
+        if not cv_vals:
+            notes.append("empty critical-value set")
+    if cv_vals and est is not None:
+        min_cv = min(abs(v) for v in cv_vals)
+        radius_defect = abs(est.radius - min_cv) / min_cv
+        near = [p for p in poles if abs(p) <= _NEAR_DISK * est.radius]
+        pole_defects = tuple(
+            min(abs(p - v) / abs(v) for v in cv_vals) for p in near)
+        # The verdict keys on the dominant singularity only: a branch point
+        # makes the approximant lay a string of genuine poles along the cut,
+        # so poles beyond the nearest are reported but never counted against.
+        radius_ok = radius_defect < _CONSISTENT_TOL
+        if near:
+            nearest_idx = min(range(len(near)), key=lambda i: abs(near[i]))
+            nearest_defect = pole_defects[nearest_idx]
+        else:
+            nearest_defect = None
+            notes.append("no poles inside the near-disk region")
+        if radius_ok and nearest_defect is not None and nearest_defect < _CONSISTENT_TOL:
+            verdict = "consistent"
+        elif radius_defect > _INCONSISTENT_TOL or (
+                nearest_defect is not None and nearest_defect > _INCONSISTENT_TOL):
+            verdict = "inconsistent"
+    return ConjectureReport(verdict, cv_vals,
+                            est.radius if est else None,
+                            est.c if est else None,
+                            est.poly_exponent if est else None,
+                            radius_defect, poles, pole_defects, tuple(notes), diagnostics)
 
 
 # ----------------------------------------------------------------------

@@ -32,12 +32,14 @@ on the same iterate, bit for bit, in any stack, and a quantity computed for
 a whole stack equals the one computed for that row alone.
 
 The iterates the rows end on are wrapped into the strip and finished in one
-batch (_finish): one _system, _reduce, _jacobian and stacked condition
-number over all of them, then an accept loop in start order that validates
-a row only if no earlier accepted point is within _DEDUP_TOL of it, and
-masks the duplicates of every point it accepts.  The accepted set is the one
-that finishing every iterate alone and then deduplicating would give, since
-a duplicate is skipped either way, and by row invariance each accepted point
+batch (_finish): one _system and _reduce over all of them, then an accept
+loop in start order that validates a row only if no earlier accepted point
+is within _DEDUP_TOL of it, and masks the duplicates of every point it
+accepts.  A second batch decorates the accepted rows only: their stacked
+Jacobians and condition numbers, the branch integers of every factor and of
+L, and the eps-branch of the sheet.  The accepted set is the one that
+finishing every iterate alone and then deduplicating would give, since a
+duplicate is skipped either way, and by row invariance each accepted point
 equals that row finished alone.
 """
 
@@ -55,7 +57,7 @@ from .qterm import LinForm, QTerm
 __all__ = [
     "SolverConfig", "CriticalPoint",
     "var_residual", "varlog_residual", "solve_variational", "solve_poly_1var",
-    "branch_integer", "half_log_point", "log_eps",
+    "half_log_point", "log_eps",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -162,19 +164,6 @@ def varlog_residual(t: QTerm, u):
     if not ok[0]:
         raise DomainError("some z^A hits {0,1}")
     return V[0]
-
-
-def branch_integer(u, A: LinForm) -> int:
-    """Even branch integer p with  sum_i v_i(A) u_i = Log(z^A) + p*pi*i."""
-    s = A.homog([complex(x) for x in u])
-    diff = s - _log_exp(s)   # 2*pi*i*k exactly
-    p = diff.imag / math.pi
-    k = round(p)
-    if abs(p - k) > 1e-8:
-        raise BranchParityError(f"branch ratio {p} is not near an integer")
-    if k % 2 != 0:
-        raise BranchParityError(f"branch integer {k} is odd (non-principal input?)")
-    return k
 
 
 def half_log_point(u, L: LinForm):
@@ -335,51 +324,55 @@ def _same_point(U, u):
 
 
 def _finish(t, U, cfg, le):
-    """The points among the wrapped iterates U (rows, in start order): all
-    rows are evaluated in one batch, then accepted in start order, each
-    accepted point masking its duplicates among the later rows.  A row is
-    discarded if a factor value hits {0, 1}, its residual is not below
-    newton_tol, or var_residual raises DomainError; only accepted rows are
-    decorated, so only they can raise BranchParityError."""
+    """The points among the wrapped iterates U (rows, in start order).  One
+    _system and _reduce cover all rows; then an accept loop in start order
+    keeps a row only if no factor value hits {0, 1}, its residual is below
+    newton_tol, var_residual does not raise DomainError, and no earlier
+    accepted point is its duplicate.  One batch then decorates the accepted
+    rows only: condition numbers, branch integers and the eps-branch, so
+    only accepted rows can raise BranchParityError."""
     ok, V, W, D = _system(t, U, le)
     U = U[ok]                       # V, W and D hold these rows only
     H, M = _reduce(V)
-    cond = np.linalg.cond(_jacobian(t, W, D))
-    vL = t.L.coeffs
-    i0 = next((i for i, c in enumerate(vL) if c != 0), None)
     new = np.full(len(U), True)     # not a duplicate of an accepted point
-    points = []
+    acc, kept = [], []
     for k in range(len(U)):
         if not new[k]:
             continue
         res_log = float(max(abs(h) for h in H[k]))
         if res_log >= cfg.newton_tol:
             continue
-        u = [complex(x) for x in U[k]]
+        u = U[k].tolist()
         z = [cmath.exp(x) for x in u]
         try:
-            res_mult = var_residual(t, z)
+            kept.append((u, z, res_log, var_residual(t, z)))
         except DomainError:
             continue
-        branch_A = tuple(branch_integer(u, a) for a, _ in t.factors)
-        branch_L = branch_integer(u, t.L)
-        m = [int(x) for x in M[k]]
-        h = None
-        if i0 is None:
-            if all(x == 0 for x in m):
-                h = 0
-        elif m[i0] % vL[i0] == 0:
-            cand = -m[i0] // vL[i0]
-            if all(x == -cand * c for x, c in zip(m, vL)):
-                h = cand
-        points.append(CriticalPoint(
-            u=tuple(u), z=tuple(z),
-            residual_log=res_log, residual_mult=res_mult,
-            branch_A=branch_A, branch_L=branch_L,
-            jacobian_singular=bool(cond[k] > 1e12),
-            sheet=tuple(m), eps_branch=h, is_critical=h is not None))
+        acc.append(k)
         new &= ~_same_point(U, U[k])
-    return points
+    U, W, D, M = U[acc], W[acc], D[acc], M[acc]
+    cond = np.linalg.cond(_jacobian(t, W, D))
+    _, A, _, vL = t._arrays
+    # sum_i v_i(A) u_i = Log(z^A) + p*pi*i, for every factor and then L
+    S = np.einsum("si,ji->sj", U, np.vstack((A, vL)))
+    P = (S - np.log(np.exp(S))).imag / math.pi
+    B = np.round(P)
+    bad = ~(np.abs(P - B) <= 1e-8) | (B % 2 != 0)     # NaN is bad too
+    if bad.any():
+        p, k = P[bad][0], B[bad][0]                   # the first in start order
+        if not abs(p - k) <= 1e-8:
+            raise BranchParityError(f"branch ratio {p} is not near an integer")
+        raise BranchParityError(f"branch integer {int(k)} is odd (non-principal input?)")
+    # critical iff the sheet is m = -h * v(L) for an integer h
+    i0 = np.flatnonzero(vL)
+    h = -M[:, i0[0]] / vL[i0[0]] if len(i0) else np.zeros(len(M))
+    crit = (h == np.round(h)) & (M == -h[:, None] * vL).all(axis=1)
+    return [CriticalPoint(
+        u=tuple(u), z=tuple(z), residual_log=res_log, residual_mult=res_mult,
+        branch_A=tuple(int(x) for x in b[:-1]), branch_L=int(b[-1]),
+        jacobian_singular=bool(c > 1e12), sheet=tuple(int(x) for x in m),
+        eps_branch=int(e) if is_crit else None, is_critical=bool(is_crit))
+        for (u, z, res_log, res_mult), b, c, m, e, is_crit in zip(kept, B, cond, M, h, crit)]
 
 
 def _starts(cfg, n):

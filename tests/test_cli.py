@@ -85,6 +85,17 @@ def test_check_with_external_cv(capsys, tmp_path):
     assert "critical values supplied externally" in d["notes"]
 
 
+def test_check_rejects_a_cv_file_with_true_and_nan(capsys, tmp_path):
+    cvf = tmp_path / "cv.json"
+    cvf.write_text("[true, NaN]")
+    dest = tmp_path / "report.json"
+    code, out, err = _run(capsys, "check", SPECIAL, "--n-max", "60",
+                          "--cv-from", str(cvf), "--output", str(dest))
+    assert code == 1 and out == "" and not dest.exists()
+    e = json.loads(err)
+    assert e["error"] == "SchemaError" and e["violations"][0].startswith("/0: ")
+
+
 def test_output_file_written_atomically(capsys, tmp_path):
     dest = tmp_path / "pts.json"
     code, out, _ = _run(capsys, "solve", FOUR_ONE, "--output", str(dest))

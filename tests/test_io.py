@@ -126,6 +126,17 @@ def test_integers_outside_int64_rejected():
     assert parse_qterm_obj(obj).L.constant == 2 ** 63 - 1
 
 
+@pytest.mark.parametrize("x", [True, float("inf"), float("nan")], ids=["true", "inf", "nan"])
+def test_linear_rejects_booleans_and_non_finite_numbers(x):
+    obj = _base_obj()
+    obj["Q"] = {"matrix": [[0]], "linear": [1]}     # 0 + 2*1 is even
+    assert parse_qterm_obj(obj).Q.linear == (1,)
+    obj["Q"]["linear"] = [x]
+    with pytest.raises(SchemaError) as ei:
+        parse_qterm_obj(obj)
+    assert any(v.startswith("/Q/linear/0: not a rational") for v in ei.value.violations)
+
+
 def test_atomic_writers(tmp_path):
     jp = tmp_path / "out.json"
     write_json_atomic(str(jp), {"b": 1, "a": [2, 3]})
@@ -163,3 +174,15 @@ def test_load_cv_file_forms(tmp_path):
     p.write_text("[\"x\"]")
     with pytest.raises(SchemaError):
         load_cv_file(str(p))
+
+
+@pytest.mark.parametrize("text, pointer", [
+    ("[true, NaN]", "/0"), ("[0.5, NaN]", "/1"), ("[[1.0, Infinity]]", "/0"),
+    ("[[0.5, false]]", "/0"), ("[0.5, -Infinity]", "/1"), ("[1" + "0" * 400 + "]", "/0"),
+], ids=["true-nan", "nan", "inf-im", "false-im", "minus-inf", "int-1e400"])
+def test_load_cv_file_rejects_booleans_and_non_finite_numbers(tmp_path, text, pointer):
+    p = tmp_path / "cv.json"
+    p.write_text(text)
+    with pytest.raises(SchemaError) as ei:
+        load_cv_file(str(p))
+    assert ei.value.violations[0].startswith(pointer + ": expected a finite real")

@@ -195,3 +195,47 @@ def test_dedup_before_finish_matches_finish_then_dedup(battery_solved):
 
 def test_finish_empty_stack(t41):
     assert _finish(t41, np.empty((0, 1), dtype=complex), SolverConfig(), 0j) == []
+
+
+def _decoration_reference(t, u):
+    """The decoration of the point u, one scalar at a time: the branch
+    integer p of every factor and of L (sum_i v_i(A) u_i = Log(z^A) + p*pi*i),
+    the sheet m = round(Im varlog / 2pi), and the integer h with
+    m = -h * v(L), None when there is none."""
+    def branch(form):
+        s = form.homog(u)
+        p = (s - (cmath.log(cmath.exp(s)) if s else 0j)).imag / math.pi
+        assert abs(p - round(p)) <= 1e-8 and round(p) % 2 == 0
+        return round(p)
+
+    logs = [cmath.log(1 - cmath.exp(a.homog(u))) for a, _ in t.factors]
+    vL = t.L.coeffs
+    sheet = tuple(
+        round((sum(q * x for q, x in zip(row, u)) + log_eps(t.epsilon) * vL[i]
+               + sum(s * a.coeffs[i] * g for (a, s), g in zip(t.factors, logs))).imag
+              / (2 * math.pi))
+        for i, row in enumerate(t.Q.matrix))
+    i0 = next((i for i, c in enumerate(vL) if c != 0), None)
+    h = None
+    if i0 is None:
+        if all(x == 0 for x in sheet):
+            h = 0
+    elif sheet[i0] % vL[i0] == 0:
+        cand = -sheet[i0] // vL[i0]
+        if all(x == -cand * c for x, c in zip(sheet, vL)):
+            h = cand
+    return tuple(branch(a) for a, _ in t.factors), branch(t.L), sheet, h
+
+
+def test_finish_decoration_matches_the_scalar_reference(battery_solved):
+    solved = [(t, pts) for t, pts in battery_solved if pts]
+    assert any(t.L.is_homog_zero() for t, _ in solved)
+    assert any(t.L.coeffs[0] == 0 and not t.L.is_homog_zero() for t, _ in solved)
+    for t, pts in battery_solved:
+        for cp in pts:
+            branch_A, branch_L, sheet, h = _decoration_reference(t, cp.u)
+            got = (cp.branch_A, cp.branch_L, cp.sheet, cp.eps_branch, cp.is_critical)
+            assert got == (branch_A, branch_L, sheet, h, h is not None)
+            assert all(type(x) is int for x in cp.branch_A + cp.sheet + (cp.branch_L,))
+            assert h is None or type(cp.eps_branch) is int
+

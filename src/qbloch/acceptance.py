@@ -29,8 +29,7 @@ from .errors import DegenerateTupleError
 from .qterm import four_one_special, one_variable_family
 from .series import (exact_polynomial, growth_rate, kashaev_41_oracle,
                      laplace_ratio_check, pade_poles,
-                     qfactorial_asymptotics_defect, sequence, _coeff_exact,
-                     _coeff_numeric)
+                     qfactorial_asymptotics_defect, sequence)
 from .solver import SolverConfig, solve_poly_1var, solve_variational
 
 __all__ = ["run_all", "CRITERIA"]
@@ -167,14 +166,13 @@ def criterion_5():
 
 def criterion_6():
     """Built-in special term == independent brute-force oracle, n <= 100."""
-    t = four_one_special()
+    s = sequence(four_one_special(), 100)
     worst = 0.0
     for n in range(1, 101):
-        c = _coeff_numeric(t, n)
+        c = s.c(n)
         o = kashaev_41_oracle(n)
         worst = max(worst, abs(c - o) / (1.0 + abs(o)))
-    c2 = _coeff_numeric(t, 2)
-    c3 = _coeff_numeric(t, 3)
+    c2, c3 = s.c(2), s.c(3)
     spots = abs(c2 - 5) < 1e-9 and abs(c3 - 13) < 1e-9
     ok = worst < 1e-8 and spots
     return ok, f"worst relative defect {worst:.2e}; c_2 = {c2.real:.1f}, c_3 = {c3.real:.1f}"
@@ -221,12 +219,13 @@ def criterion_10():
     """Exact polynomial 1-norms: ||a_n||^{1/n} bounded for n <= 40 and
     |c_n| <= ||a_n||_1."""
     t = four_one_special()
+    s = sequence(t, 40, "exact")
     ratios = []
     bound_ok = True
     from .laurent import norm1
     for n in range(1, 41):
         nm = norm1(exact_polynomial(t, n))
-        cn = abs(_coeff_exact(t, n))
+        cn = abs(s.c(n))
         if cn > nm + 1e-9:
             bound_ok = False
         ratios.append(math.log(nm) / n if nm > 0 else 0.0)

@@ -15,90 +15,56 @@ violation) with a machine-readable JSON object on stderr; 2 numerical
 failure (non-convergence, singular systems, failed selftest).
 
 With --output the artifact is written atomically (temp file + rename);
-otherwise it goes to stdout.
+otherwise it goes to stdout.  Only seq takes --format (csv or json).
+
+argparse owns the flags; the defaults of --starts, --seed, --tol and of the
+sing/check --n-max are read from SolverConfig and ConjectureConfig, and
+SolverConfig and sequence check the values.  The one check made here is
+--n-max >= 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 
 from .bloch import beta_hat, bw_of_element, certify_diagram, certify_nu_hat, cv_set, rogers_of_element
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError
 from .io import load_cv_file, parse_qterm, write_csv_atomic, write_json_atomic
 from .qterm import SpecialQTerm
 from .series import (_PADE_DEN, _PADE_N, _PADE_NUM, ConjectureConfig,
                      check_conjecture, growth_rate, pade_poles, sequence)
 from .solver import SolverConfig, solve_variational
 
-__all__ = ["RunConfig", "run", "main"]
-
-_COMMANDS = ("solve", "bloch", "cv", "seq", "sing", "check", "selftest")
+__all__ = ["main"]
 
 _SEQ_HEADER = ("n", "re", "im", "log_abs", "running_growth")
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Everything one invocation needs; validate() enforces the per-command
-    requirements before any work starts."""
-
-    command: str
-    input_path: str = ""
-    n_max: int = 0
-    tol: float = 1e-10
-    starts: int = 120
-    seed: int = 0
-    mode: str = "numeric"
-    output: str = ""
-    format: str = ""
-    cv_from: str = ""
-
-    def validate(self):
-        bad = []
-        if self.command not in _COMMANDS:
-            bad.append(f"unknown command {self.command!r}")
-        if self.command != "selftest" and not self.input_path:
-            bad.append(f"{self.command} requires an input term file")
-        if self.command == "seq" and self.n_max < 1:
-            bad.append("seq requires --n-max >= 1")
-        if self.command in ("sing", "check") and self.n_max < 0:
-            bad.append("--n-max must be nonnegative")
-        if self.mode not in ("numeric", "exact"):
-            bad.append(f"mode must be numeric or exact, not {self.mode!r}")
-        if self.format and self.format not in ("json", "csv"):
-            bad.append(f"format must be json or csv, not {self.format!r}")
-        if self.format == "csv" and self.command not in ("seq",):
-            bad.append("csv output is only defined for seq")
-        if bad:
-            raise ConfigError("; ".join(bad))
-
-
-def _solver_cfg(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(starts=cfg.starts, seed=cfg.seed, newton_tol=cfg.tol)
+def _solver_cfg(ns) -> SolverConfig:
+    return SolverConfig(starts=ns.starts, seed=ns.seed, newton_tol=ns.tol)
 
 
 def _c2(z) -> list:
     return [z.real, z.imag]
 
 
-def _cmd_solve(cfg):
-    t = parse_qterm(cfg.input_path)
-    pts = solve_variational(t, _solver_cfg(cfg))
+def _cmd_solve(ns):
+    t = parse_qterm(ns.input)
+    pts = solve_variational(t, _solver_cfg(ns))
     if not pts:
         raise ArithmeticError("no start point converged; the solver found "
                               "no solutions in the principal strip")
-    return "json", {"input": cfg.input_path,
+    return "json", {"input": ns.input,
                     "count": len(pts),
                     "points": [cp.to_json_obj() for cp in pts]}
 
 
-def _cmd_bloch(cfg):
-    t = parse_qterm(cfg.input_path)
-    pts = solve_variational(t, _solver_cfg(cfg))
+def _cmd_bloch(ns):
+    t = parse_qterm(ns.input)
+    pts = solve_variational(t, _solver_cfg(ns))
     rows = []
     for cp in pts:
         if not cp.is_critical:
@@ -115,16 +81,16 @@ def _cmd_bloch(cfg):
                      "certified": bool(cert),
                      "certificate_failures": list(cert.failures),
                      "diagram_defect": certify_diagram(t, cp)})
-    return "json", {"input": cfg.input_path,
+    return "json", {"input": ns.input,
                     "n_solutions": len(pts),
                     "n_critical": len(rows),
                     "elements": rows}
 
 
-def _cmd_cv(cfg):
-    t = parse_qterm(cfg.input_path)
-    cv = cv_set(t, _solver_cfg(cfg))
-    return "json", {"input": cfg.input_path, "cv": cv.to_json_obj()}
+def _cmd_cv(ns):
+    t = parse_qterm(ns.input)
+    cv = cv_set(t, _solver_cfg(ns))
+    return "json", {"input": ns.input, "cv": cv.to_json_obj()}
 
 
 def _require_special(t):
@@ -134,27 +100,26 @@ def _require_special(t):
     return t
 
 
-def _cmd_seq(cfg):
-    t = _require_special(parse_qterm(cfg.input_path))
-    s = sequence(t, cfg.n_max, cfg.mode)
-    if (cfg.format or "csv") == "csv":
+def _cmd_seq(ns):
+    t = _require_special(parse_qterm(ns.input))
+    s = sequence(t, ns.n_max, ns.mode)
+    if ns.format == "csv":
         return "csv", list(s.to_csv_rows())
-    return "json", {"input": cfg.input_path,
+    return "json", {"input": ns.input,
                     "mode": s.mode,
                     "n_min": s.n_min,
                     "n_max": s.n_max,
                     "coeffs": [_c2(c) for c in s.coeffs]}
 
 
-def _cmd_sing(cfg):
-    t = _require_special(parse_qterm(cfg.input_path))
-    n_max = cfg.n_max or 1000
-    s = sequence(t, n_max, cfg.mode)
+def _cmd_sing(ns):
+    t = _require_special(parse_qterm(ns.input))
+    s = sequence(t, ns.n_max, ns.mode)
     est = growth_rate(s)
     poles = ()
-    if n_max >= _PADE_N:
+    if ns.n_max >= _PADE_N:
         poles = pade_poles(s.truncate(_PADE_N), _PADE_NUM, _PADE_DEN)
-    return "json", {"input": cfg.input_path,
+    return "json", {"input": ns.input,
                     "c": est.c,
                     "radius": est.radius,
                     "poly_exponent": est.poly_exponent,
@@ -162,16 +127,16 @@ def _cmd_sing(cfg):
                     "diagnostics": est.diagnostics}
 
 
-def _cmd_check(cfg):
-    t = _require_special(parse_qterm(cfg.input_path))
-    ov = load_cv_file(cfg.cv_from) if cfg.cv_from else None
-    ccfg = ConjectureConfig(n_max=cfg.n_max or 1000, mode=cfg.mode,
-                            solver=_solver_cfg(cfg), cv_override=ov)
+def _cmd_check(ns):
+    t = _require_special(parse_qterm(ns.input))
+    ov = load_cv_file(ns.cv_from) if ns.cv_from else None
+    ccfg = ConjectureConfig(n_max=ns.n_max, mode=ns.mode,
+                            solver=_solver_cfg(ns), cv_override=ov)
     rep = check_conjecture(t, ccfg)
     return "json", rep.to_json_obj()
 
 
-def _cmd_selftest(cfg):
+def _cmd_selftest(ns):
     from .acceptance import run_all
     if not run_all():
         raise ArithmeticError("selftest failed: see the FAIL lines above")
@@ -183,19 +148,19 @@ _HANDLERS = {"solve": _cmd_solve, "bloch": _cmd_bloch, "cv": _cmd_cv,
              "selftest": _cmd_selftest}
 
 
-def _emit(cfg, kind, payload):
+def _emit(ns, kind, payload):
     if kind == "none":
         return
     if kind == "csv":
-        if cfg.output:
-            write_csv_atomic(cfg.output, payload, _SEQ_HEADER)
+        if ns.output:
+            write_csv_atomic(ns.output, payload, _SEQ_HEADER)
         else:
             w = csv.writer(sys.stdout)
             w.writerow(_SEQ_HEADER)
             w.writerows(payload)
         return
-    if cfg.output:
-        write_json_atomic(cfg.output, payload)
+    if ns.output:
+        write_json_atomic(ns.output, payload)
     else:
         json.dump(payload, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
@@ -207,53 +172,40 @@ def _error_json(exc) -> str:
                        "violations": list(getattr(exc, "violations", ()))})
 
 
-def run(cfg: RunConfig) -> int:
-    """Validate, dispatch, emit.  Returns the process exit code."""
-    try:
-        cfg.validate()
-        kind, payload = _HANDLERS[cfg.command](cfg)
-        _emit(cfg, kind, payload)
-        return 0
-    except ArithmeticError as exc:        # includes SingularSystemError
-        print(_error_json(exc), file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:  # schema, config, domain, file errors
-        print(_error_json(exc), file=sys.stderr)
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qbloch",
         description="dilogarithm variational solver and series singularity probe")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, solves=False, seqlike=False):
+    def add(name, help_, solves=False, n_max=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="term file (JSON)")
         if solves:
-            p.add_argument("--starts", type=int, default=120,
+            p.add_argument("--starts", type=int, default=SolverConfig.starts,
                            help="number of random starts for the solver")
-            p.add_argument("--seed", type=int, default=0, help="RNG seed")
-            p.add_argument("--tol", type=float, default=1e-10,
+            p.add_argument("--seed", type=int, default=SolverConfig.seed,
+                           help="RNG seed")
+            p.add_argument("--tol", type=float, default=SolverConfig.newton_tol,
                            help="solver convergence tolerance")
-        if seqlike:
-            p.add_argument("--n-max", dest="n_max", type=int, default=0,
-                           help="highest coefficient index")
+        if n_max is not None:
+            p.add_argument("--n-max", dest="n_max", type=int, default=n_max,
+                           help="highest coefficient index" +
+                           (" (default: %(default)s)" if n_max else ", required"))
             p.add_argument("--mode", choices=("numeric", "exact"),
                            default="numeric")
         p.add_argument("--output", default="", help="write the artifact here")
-        p.add_argument("--format", choices=("json", "csv"), default="",
-                       help="artifact format (seq defaults to csv)")
         return p
 
     add("solve", "critical points of the variational equations", solves=True)
     add("bloch", "extended elements and regulator values", solves=True)
     add("cv", "critical-value set", solves=True)
-    add("seq", "coefficient sequence", seqlike=True)
-    add("sing", "growth rate and Pade poles", seqlike=True)
+    p = add("seq", "coefficient sequence", n_max=0)
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="artifact format")
+    add("sing", "growth rate and Pade poles", n_max=ConjectureConfig.n_max)
     p = add("check", "singularity/critical-value consistency report",
-            solves=True, seqlike=True)
+            solves=True, n_max=ConjectureConfig.n_max)
     p.add_argument("--cv-from", dest="cv_from", default="",
                    help="JSON file with externally supplied critical values")
     sub.add_parser("selftest", help="run the acceptance battery")
@@ -261,6 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, dispatch, emit.  Returns the process exit code."""
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -272,8 +225,17 @@ def main(argv=None) -> int:
                           "message": "invalid command line",
                           "violations": []}), file=sys.stderr)
         return 1
-    opts = vars(ns)   # only the flags this command registers
-    return run(RunConfig(input_path=opts.pop("input", ""), **opts))
+    try:
+        if getattr(ns, "n_max", 1) < 1:
+            raise ConfigError(f"{ns.command} requires --n-max >= 1")
+        _emit(ns, *_HANDLERS[ns.command](ns))
+        return 0
+    except ArithmeticError as exc:        # includes SingularSystemError
+        print(_error_json(exc), file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # schema, config, domain, file errors
+        print(_error_json(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -256,7 +256,8 @@ def _finite_real(x):
 
 def load_cv_file(path):
     """Critical values supplied externally: JSON array of [re, im] pairs
-    (or bare reals), every number finite; booleans are not numbers."""
+    (or bare reals), every number finite, no value 0 (e^{-V} never is);
+    booleans are not numbers."""
     with open(path, "r") as f:
         obj = json.load(f)
     if not isinstance(obj, list):
@@ -268,5 +269,8 @@ def load_cv_file(path):
         if re is None or im is None:
             raise SchemaError("critical-value file rejected",
                               [f"/{i}: expected a finite real or an [re, im] pair of finite reals"])
+        if re == im == 0:
+            raise SchemaError("critical-value file rejected",
+                              [f"/{i}: a critical value e^(-V) is never 0"])
         out.append(complex(re, im))
     return tuple(out)

@@ -46,7 +46,7 @@ independent Laplace term-ratio derivation of the variational equations, and
 the singularity-vs-critical-value report.
 
 Double precision bounds both modes (exact mode converts its mpmath value to
-complex): for the built-in term near n ~ 2190.  sequence raises
+complex): the built-in term first overflows at c_2163 in both.  sequence raises
 OverflowError at the first c_n that is not finite, and check_conjecture
 turns that into an inconclusive note.
 """
@@ -504,7 +504,6 @@ class SingularityEstimate:
     c: float                 # lim log|c_n| / n
     radius: float            # e^{-c}
     poly_exponent: float     # fitted exponent of the n^gamma correction
-    pade_poles: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
 

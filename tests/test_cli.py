@@ -10,6 +10,8 @@ import pytest
 
 import qbloch.cli as cli
 from qbloch.errors import SingularSystemError
+from qbloch.series import ConjectureConfig
+from qbloch.solver import SolverConfig
 
 TERMS = os.path.join(os.path.dirname(__file__), os.pardir, "terms")
 FOUR_ONE = os.path.join(TERMS, "four_one.json")
@@ -96,6 +98,18 @@ def test_check_rejects_a_cv_file_with_true_and_nan(capsys, tmp_path):
     assert e["error"] == "SchemaError" and e["violations"][0].startswith("/0: ")
 
 
+@pytest.mark.parametrize("text, pointer", [("[0]", "/0"), ("[[0.72, 0], 0]", "/1")])
+def test_check_rejects_a_zero_critical_value(capsys, tmp_path, text, pointer):
+    cvf = tmp_path / "cv.json"
+    cvf.write_text(text)
+    dest = tmp_path / "report.json"
+    code, out, err = _run(capsys, "check", SPECIAL, "--n-max", "300",
+                          "--cv-from", str(cvf), "--output", str(dest))
+    assert code == 1 and out == "" and not dest.exists()
+    e = json.loads(err)
+    assert e["error"] == "SchemaError" and e["violations"][0].startswith(pointer + ": ")
+
+
 def test_output_file_written_atomically(capsys, tmp_path):
     dest = tmp_path / "pts.json"
     code, out, _ = _run(capsys, "solve", FOUR_ONE, "--output", str(dest))
@@ -162,8 +176,25 @@ def test_seq_rejects_plain_term(capsys):
 
 
 def test_csv_only_for_seq(capsys):
-    code, _, err = _run(capsys, "cv", FOUR_ONE, "--format", "csv")
-    assert code == 1
+    for argv in (("cv", FOUR_ONE, "--format", "csv"),
+                 ("solve", FOUR_ONE, "--format", "json")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "UsageError"
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parse = cli._build_parser().parse_args
+    ns = parse(["solve", FOUR_ONE])
+    sc = SolverConfig()
+    assert (ns.starts, ns.seed, ns.tol) == (sc.starts, sc.seed, sc.newton_tol)
+    for command in ("sing", "check"):
+        assert parse([command, SPECIAL]).n_max == ConjectureConfig().n_max
+
+
+def test_check_rejects_n_max_0(capsys):
+    code, out, err = _run(capsys, "check", SPECIAL, "--n-max", "0")
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ConfigError"
 
 

@@ -186,3 +186,12 @@ def test_load_cv_file_rejects_booleans_and_non_finite_numbers(tmp_path, text, po
     with pytest.raises(SchemaError) as ei:
         load_cv_file(str(p))
     assert ei.value.violations[0].startswith(pointer + ": expected a finite real")
+
+
+@pytest.mark.parametrize("text, pointer", [("[0]", "/0"), ("[[0.72, 0], 0]", "/1")])
+def test_load_cv_file_rejects_a_zero_value(tmp_path, text, pointer):
+    p = tmp_path / "cv.json"
+    p.write_text(text)
+    with pytest.raises(SchemaError) as ei:
+        load_cv_file(str(p))
+    assert ei.value.violations[0].startswith(pointer + ": ")

@@ -36,8 +36,12 @@ share nothing after it:
   _eval_ring_mp evaluates the folded vector of n integers in mpmath at 20
   decimal digits plus the digits of its largest coefficient and of n.
   That precision is a heuristic, not a need: the unfolded polynomial's
-  coefficients grow like C^n, but the folded vector is well-conditioned
-  (sum |a_i| / |c_n| measured 1.27 for 4_1 and 5_2; ROADMAP item 3).
+  coefficients grow like C^n, and the folded vector's condition
+  sum |a_i| / |c_n| depends on the term.  It measured 1.27 for 4_1 and 5_2,
+  and at most 56 on the r = 1 terms of perfbench's special_corpus(1..5) for
+  n <= 25, but on its r = 2 terms it passes 100 from n = 8 to 12 and reaches
+  7.2e9 (seed 4, term 6, n = 25).  A float64 evaluation of the folded
+  vector (ROADMAP item 3) would lose that many digits there.
 
 Downstream: growth-rate extrapolation (Richardson in 1/n plus a polynomial
 correction fit), Pade pole extraction on a rescaled Toeplitz system, the
@@ -557,6 +561,15 @@ def growth_rate(s: SeriesData) -> SingularityEstimate:
 # ----------------------------------------------------------------------
 # Pade pole extraction
 
+def _horner(coeffs, y):
+    """sum coeffs[k] y^k (ascending coefficients) by Horner's rule, in the
+    operation order of numpy.polynomial.polynomial.polyval."""
+    v = coeffs[-1] + y * 0
+    for a in coeffs[-2::-1]:
+        v = a + v * y
+    return v
+
+
 def pade_poles(s: SeriesData, num_degree: int, den_degree: int):
     """Poles of the [num/den] Pade approximant to sum c_n x^n.
 
@@ -597,16 +610,16 @@ def pade_poles(s: SeriesData, num_degree: int, den_degree: int):
     qroots = np.roots(b[::-1])
     # numerator from P = (C * Q) mod x^{L+1}; residues in the rescaled frame
     conv = np.convolve(ct[: L + M + 1], b)[: L + 1]
-    dq = np.polynomial.polynomial.polyder(b)
+    dq = b[1:] * np.arange(1, len(b))            # Q', ascending
     out = []
     residues = []
     for y in qroots:
         if not np.isfinite(y) or abs(y) < 1e-12 or abs(y) > 1e8:
             continue
-        qp = np.polynomial.polynomial.polyval(y, dq)
+        qp = _horner(dq, y)
         if qp == 0:
             continue
-        pv = np.polynomial.polynomial.polyval(y, conv)
+        pv = _horner(conv, y)
         residues.append(abs(pv / qp))
         out.append(complex(y) / scale)
     if not out:

@@ -17,6 +17,13 @@ m = -h * v(L) for an integer h (the Log(eps) + 2*pi*i*h ambiguity), recorded
 as eps_branch/is_critical.  Points failing that test still solve the
 multiplicative system and are kept, flagged not dropped.
 
+The starts are a seeded table (_start_table), built once per (seed, starts,
+n) in a process: uniform real parts in [-3, 3), then imaginary parts in
+[-pi, pi), from the library's own copy of numpy's SeedSequence and PCG64
+stream.  It equals np.random.default_rng(seed).uniform bit for bit, but it
+does not move when numpy changes its Generator, and it never imports
+numpy.random.
+
 The multistart is one batch (_newton): the starts are the rows of one
 (starts, n) complex array, and each Newton step evaluates the system, its
 lattice reduction, the stacked Jacobians and their solves for all live rows
@@ -46,7 +53,9 @@ equals that row finished alone.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +212,15 @@ class SolverConfig:
     newton_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("starts", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            setattr(self, name, operator.index(v))   # numpy integers to int
         if self.starts < 1:
             raise ConfigError(f"starts must be >= 1, got {self.starts}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.newton_tol > 0:
             raise ConfigError("newton_tol must be positive")
 
@@ -375,14 +391,85 @@ def _finish(t, U, cfg, le):
         for (u, z, res_log, res_mult), b, c, m, e, is_crit in zip(kept, B, cond, M, h, crit)]
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64), as ints: the
+    seed's uint32 words (little-endian) hashed into a pool of 4 and mixed,
+    then 8 hashed pool words paired into 4 uint64."""
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w in words[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(w))
+    h = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_doubles(seed, count):
+    """The first count doubles in [0, 1) of np.random.default_rng(seed): PCG64
+    (XSL-RR 128/64) seeded as numpy's pcg64_set_seed does, step then output,
+    each draw taken as (next64 >> 11) * 2**-53."""
+    s0, s1, i0, i1 = _seed_state(seed)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        out.append((((x >> rot | x << (-rot & 63)) & _M64) >> 11) * 2.0 ** -53)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _start_table(seed, starts, n):
+    """The read-only (starts, n) start table of a seed: bit for bit
+    default_rng(seed).uniform(-3, 3, (starts, n)) as the real parts, then
+    .uniform(-pi, pi, (starts, n)) as the imaginary parts.  Each value is
+    low + (high - low) * x with two roundings, as numpy's uniform computes
+    it; high - low is 6.0 and TWO_PI exactly."""
+    k = starts * n
+    x = _uniform_doubles(seed, 2 * k)
+    U = np.empty((starts, n), dtype=complex)
+    U.real = np.reshape([-3.0 + 6.0 * v for v in x[:k]], U.shape)
+    U.imag = np.reshape([-math.pi + TWO_PI * v for v in x[k:]], U.shape)
+    U.flags.writeable = False
+    return U
+
+
 def _starts(cfg, n):
     """The seeded start points: rows of a (cfg.starts, n) complex array with
-    Re in [-3, 3) and Im in [-pi, pi)."""
-    rng = np.random.default_rng(cfg.seed)
-    U = np.empty((cfg.starts, n), dtype=complex)
-    U.real = rng.uniform(-3.0, 3.0, size=U.shape)
-    U.imag = rng.uniform(-math.pi, math.pi, size=U.shape)
-    return U
+    Re in [-3, 3) and Im in [-pi, pi), a fresh copy of the cached table."""
+    return _start_table(cfg.seed, cfg.starts, n).copy()
 
 
 def solve_variational(t: QTerm, cfg: SolverConfig = None):

@@ -204,6 +204,12 @@ def test_solver_flags_checked_by_the_solver_config(capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_negative_seed_is_a_config_error(capsys):
+    code, out, err = _run(capsys, "solve", FOUR_ONE, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_solver_flags_rejected_where_nothing_solves(capsys):
     code, _, err = _run(capsys, "seq", SPECIAL, "--n-max", "3", "--starts", "5")
     assert code == 1
@@ -239,3 +245,22 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     rows = list(csv.reader(stringio.StringIO(done.stdout)))
     assert tuple(rows[0]) == cli._SEQ_HEADER and len(rows) == 6
+
+
+def test_check_and_solve_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    check = ["check", SPECIAL, "--n-max", "300", "--output", str(tmp_path / "check.json")]
+    solve = ["solve", FOUR_ONE, "--output", str(tmp_path / "solve.json")]
+    code = (
+        "import sys\n"
+        "import qbloch.cli as cli\n"
+        f"assert cli.main({check!r}) == 0\n"
+        f"assert cli.main({solve!r}) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('numpy.random', 'numpy.polynomial'))))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

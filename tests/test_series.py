@@ -134,6 +134,17 @@ def test_pade_on_trace_sequence(seq1000):
     assert abs(nearest - RADIUS) / RADIUS < 0.05
 
 
+def test_horner_is_numpy_polynomial_polyval_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for m in range(1, 42):
+        b = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        for y in np.roots(b[::-1]):
+            for c in (b, np.polynomial.polynomial.polyder(b)):
+                got = complex(series._horner(c, y))
+                want = complex(np.polynomial.polynomial.polyval(y, c))
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_pade_degenerate_input():
     zero = SeriesData((0j,) * 30, 1, 30, "numeric")
     with pytest.raises(SingularSystemError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbloch.errors import DomainError
+from qbloch.errors import ConfigError, DomainError
 from qbloch.qterm import LinForm, QTerm, QuadForm, one_variable_family
 from qbloch.solver import (CriticalPoint, SolverConfig, _finish, _jacobian, _newton,
                            _reduce, _same_point, _starts, _system, _wrap_strip, log_eps,
@@ -239,3 +239,47 @@ def test_finish_decoration_matches_the_scalar_reference(battery_solved):
             assert all(type(x) is int for x in cp.branch_A + cp.sheet + (cp.branch_L,))
             assert h is None or type(cp.eps_branch) is int
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 12345, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 5,
+                                  2 ** 64 + 17, 2 ** 100 + 3, 10 ** 30])
+def test_starts_are_numpy_default_rng_bit_for_bit(seed):
+    for starts in (1, 48, 64, 120, 1200):
+        for n in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            re = rng.uniform(-3.0, 3.0, size=(starts, n))
+            im = rng.uniform(-math.pi, math.pi, size=(starts, n))
+            U = _starts(SolverConfig(starts=starts, seed=seed), n)
+            assert U.shape == (starts, n) and U.dtype == complex
+            assert np.array_equal(U.real.view(np.uint64), re.view(np.uint64))
+            assert np.array_equal(U.imag.view(np.uint64), im.view(np.uint64))
+
+
+def test_starts_golden_values():
+    U = _starts(SolverConfig(starts=120, seed=0), 1)
+    assert U[0, 0].real == 0.8217701239287258
+    assert U[1, 0].real == -1.3812797174167781
+    assert U[0, 0].imag == -0.9782292536523989
+    assert U[1, 0].imag == -0.4379459833171597
+
+
+def test_starts_hands_out_a_fresh_copy():
+    cfg = SolverConfig(starts=8, seed=11)
+    ref = _starts(cfg, 2).copy()
+    U = _starts(cfg, 2)
+    U[:] = 0
+    assert np.array_equal(_starts(cfg, 2), ref)
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 2.0}, {"seed": True},
+                                    {"seed": "3"}, {"starts": 1.5}, {"starts": False},
+                                    {"starts": 0}])
+def test_solver_config_rejects_bad_seed_and_starts(kwargs):
+    with pytest.raises(ConfigError):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_takes_numpy_integers():
+    cfg = SolverConfig(starts=np.int64(12), seed=np.uint32(3))
+    assert type(cfg.starts) is int and type(cfg.seed) is int
+    assert np.array_equal(_starts(cfg, 2), _starts(SolverConfig(starts=12, seed=3), 2))

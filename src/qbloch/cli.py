@@ -107,7 +107,7 @@ def _cmd_seq(ns):
         return "csv", list(s.to_csv_rows())
     return "json", {"input": ns.input,
                     "mode": s.mode,
-                    "n_min": s.n_min,
+                    "n_min": 1,
                     "n_max": s.n_max,
                     "coeffs": [_c2(c) for c in s.coeffs]}
 

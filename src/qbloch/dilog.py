@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BranchParityError, DegenerateTupleError, DomainError, OddShiftError
+from .errors import BranchParityError, DegenerateTupleError, DomainError, OddShiftError, as_int
 
 __all__ = [
     "plog", "li2", "bloch_wigner", "phi", "rogers_hat", "deck_shift",
@@ -240,7 +240,7 @@ class CHatPoint:
 
 def deck_shift(w: CHatPoint, dp, dq) -> CHatPoint:
     """Deck transformation T1^dp T0^dq: (z; p, q) -> (z; p+dp, q+dq)."""
-    dp, dq = int(dp), int(dq)
+    dp, dq = as_int(dp, "deck shift", OddShiftError), as_int(dq, "deck shift", OddShiftError)
     if dp % 2 or dq % 2:
         raise OddShiftError(f"deck shifts must be even, got ({dp}, {dq})")
     return CHatPoint(w.z, w.p + dp, w.q + dq)

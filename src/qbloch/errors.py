@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all qbloch modules."""
+"""Exception taxonomy shared by all qbloch modules, and the one rule they
+check integer inputs by (as_int)."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -62,3 +65,12 @@ class SchemaError(ValueError):
         if self.violations and self.violations != [base]:
             return base + ": " + "; ".join(self.violations)
         return base
+
+
+def as_int(v, what, error=ValueError):
+    """v as an int when it is an integer: a value with __index__ (numpy
+    integers included) that is not a bool.  Anything else, a float with an
+    integral value too, raises error."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise error(f"{what} must be an integer, got {v!r}")
+    return operator.index(v)

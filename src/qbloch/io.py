@@ -53,6 +53,13 @@ def _want_int(ck, obj, pointer):
     return obj
 
 
+def _want_unit(ck, obj, pointer, name):
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj not in (1, -1):
+        ck.fail(pointer, f"{name} must be 1 or -1, got {obj!r}")
+        return 1
+    return obj
+
+
 def _want_list(ck, obj, pointer, length=None):
     if not isinstance(obj, list):
         ck.fail(pointer, f"expected an array, got {type(obj).__name__}")
@@ -143,10 +150,7 @@ def parse_qterm_obj(obj) -> "QTerm | SpecialQTerm":
     nvars = r + 1
     Q = _parse_quadform(ck, obj.get("Q"), "/Q", nvars)
     L = _parse_linform(ck, obj.get("L"), "/L", nvars)
-    eps = obj.get("epsilon")
-    if eps not in (1, -1):
-        ck.fail("/epsilon", f"epsilon must be 1 or -1, got {eps!r}")
-        eps = 1
+    eps = _want_unit(ck, obj.get("epsilon"), "/epsilon", "epsilon")
     is_special = "quads" in obj
     fobj = obj.get("factors")
     factors = []
@@ -163,11 +167,7 @@ def parse_qterm_obj(obj) -> "QTerm | SpecialQTerm":
                 ck.fail(f"/factors/{i}", "expected an object")
                 continue
             a = _parse_linform(ck, f.get("A"), f"/factors/{i}/A", nvars)
-            sgn = f.get("sign")
-            if sgn not in (1, -1):
-                ck.fail(f"/factors/{i}/sign", f"sign must be 1 or -1, got {sgn!r}")
-                sgn = 1
-            factors.append((a, sgn))
+            factors.append((a, _want_unit(ck, f.get("sign"), f"/factors/{i}/sign", "sign")))
     quads = []
     if is_special:
         qobj = _want_list(ck, obj.get("quads"), "/quads")

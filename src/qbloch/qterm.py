@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AdmissibilityError, PolytopeError
+from .errors import AdmissibilityError, PolytopeError, as_int
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -49,8 +49,9 @@ class LinForm:
     constant: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        object.__setattr__(self, "constant", int(self.constant))
+        object.__setattr__(self, "coeffs", tuple(as_int(c, "form coefficient")
+                                                 for c in self.coeffs))
+        object.__setattr__(self, "constant", as_int(self.constant, "form constant"))
 
     @property
     def nvars(self):
@@ -98,7 +99,7 @@ class QuadForm:
     linear: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(as_int(x, "matrix entry") for x in row) for row in self.matrix)
         ql = tuple(Fraction(x) for x in self.linear)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "linear", ql)
@@ -138,6 +139,14 @@ class QuadForm:
                 "linear": [str(x) for x in self.linear]}
 
 
+def _unit(v, what):
+    """v as the int 1 or -1; anything else raises ValueError (as_int)."""
+    v = as_int(v, what)
+    if v not in (1, -1):
+        raise ValueError(f"{what} must be +-1, got {v}")
+    return v
+
+
 def _check_shapes(r, Q, L, forms):
     n = r + 1
     if Q.nvars != n:
@@ -166,13 +175,9 @@ class QTerm:
     _arrays: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", _unit(self.epsilon, "epsilon"))
         object.__setattr__(self, "factors",
-                           tuple((a, int(s)) for a, s in self.factors))
-        if self.epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
-        for _, s in self.factors:
-            if s not in (1, -1):
-                raise ValueError(f"factor sign must be +-1, got {s}")
+                           tuple((a, _unit(s, "factor sign")) for a, s in self.factors))
         _check_shapes(self.r, self.Q, self.L, [a for a, _ in self.factors])
         A = np.array([a.coeffs for a, _ in self.factors], dtype=float).reshape(-1, self.nvars)
         signs = np.array([s for _, s in self.factors], dtype=float)
@@ -233,8 +238,7 @@ class SpecialQTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "quads", tuple(tuple(q) for q in self.quads))
-        if self.epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", _unit(self.epsilon, "epsilon"))
         forms = [f for quad in self.quads for f in quad]
         _check_shapes(self.r, self.Q, self.L, forms)
         _validate_polytope(self)
@@ -584,13 +588,13 @@ def one_variable_family(a, b, eps) -> QTerm:
     Encoded with Q = [[a]], QL = (a/2,), L = k, and b numerator copies of the
     factor (q)_k.  Its variational equation is eps * z^a (1-z)^b = 1.
     """
-    a, b = int(a), int(b)
+    a, b = as_int(a, "a"), as_int(b, "b")
     if b < 0:
         raise ValueError("b must be >= 0")
     Q = QuadForm(((a,),), (Fraction(a, 2),))
     L = LinForm((1,), 0)
     factors = tuple((LinForm((1,), 0), 1) for _ in range(b))
-    return QTerm(0, Q, L, int(eps), factors)
+    return QTerm(0, Q, L, eps, factors)
 
 
 def four_one_special() -> SpecialQTerm:

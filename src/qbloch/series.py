@@ -96,40 +96,30 @@ _BLOCK = 12288            # points plus table entries per block of numeric coeff
 
 @dataclass(frozen=True)
 class SeriesData:
-    coeffs: tuple           # c_n for n = n_min .. n_max
-    n_min: int
-    n_max: int
+    coeffs: tuple           # c_1 .. c_N: coeffs[n - 1] is c_n
     mode: str               # "numeric" | "exact"
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n_max - self.n_min + 1:
-            raise ValueError("coefficient count does not match n_range")
-
     @property
-    def n_range(self):
-        return (self.n_min, self.n_max)
+    def n_max(self):
+        return len(self.coeffs)
 
     def c(self, n: int) -> complex:
-        """c_n; zero outside the stored range (the series has no terms there)."""
-        if self.n_min <= n <= self.n_max:
-            return self.coeffs[n - self.n_min]
+        """c_n; zero outside 1 .. n_max (the series has no terms there)."""
+        if 1 <= n <= self.n_max:
+            return self.coeffs[n - 1]
         return 0.0 + 0.0j
 
     def truncate(self, n_max: int) -> "SeriesData":
-        if n_max >= self.n_max:
-            return self
-        return SeriesData(self.coeffs[: n_max - self.n_min + 1],
-                          self.n_min, n_max, self.mode)
+        return SeriesData(self.coeffs[:max(n_max, 0)], self.mode)
 
     def to_csv_rows(self):
         """Rows (n, Re c_n, Im c_n, log|c_n|, running growth estimate)."""
         rows = []
-        for n in range(self.n_min, self.n_max + 1):
-            cn = self.c(n)
+        for n, cn in enumerate(self.coeffs, 1):
             a = abs(cn)
             la = math.log(a) if a > 0 else float("-inf")
             half = n // 2
-            if half >= self.n_min and n > half and abs(self.c(half)) > 0 and a > 0:
+            if abs(self.c(half)) > 0 and a > 0:
                 growth = (la - math.log(abs(self.c(half)))) / (n - half)
             else:
                 growth = ""
@@ -149,13 +139,11 @@ def _coeff_numeric(t: SpecialQTerm, n: int) -> complex:
 def _block_numeric(t: SpecialQTerm, ns):
     """(coeffs, cost): c_n at q = e^{2pi*i/n} for every n of the
     consecutive increasing ns, in one pass over the rows of their slices
-    (SpecialQTerm._slice_rows).  Only the plan's varying arguments, L and Q
-    are built per point, each as its row base repeated over the row plus a
-    stride times the last coordinate; the n whose largest argument reaches
-    n (z > 0, so q-Lucas binomials and zero counts apply) and the others
-    are summed in separate runs (_summands).  cost, the largest count of
-    points plus table entries of one n, sizes the next block.  Raises
-    OverflowError where _slice_rows(ns) does."""
+    (SpecialQTerm._slice_rows) and one _summands call.  Only the plan's
+    varying arguments, L and Q are built per point, each as its row base
+    repeated over the row plus a stride times the last coordinate.  cost,
+    the largest count of points plus table entries of one n, sizes the next
+    block.  Raises OverflowError where _slice_rows(ns) does."""
     forms, _, G = t._plan
     u, count, x, E, Q = t._slice_rows(ns, G)
     coeffs = [0j] * len(ns)
@@ -171,29 +159,24 @@ def _block_numeric(t: SpecialQTerm, ns):
     # reduceat on a 2-d E copies it
     m_max = np.max([np.maximum.reduceat(E[a], lo) if varies else a * nn + b
                     for varies, a, b in forms] + [0 * nn], axis=0)
-    z = m_max // nn
-    cut = np.flatnonzero((z[1:] > 0) != (z[:-1] > 0)) + 1
     with np.errstate(over="ignore", invalid="ignore"):   # sequence raises on a non-finite c_n
-        for i, j in zip(np.append(0, cut).tolist(), np.append(cut, len(nn)).tolist()):
-            val = _summands(t, E, Q, nn[i:j], lo[i:j], hi[i:j], m_max[i:j], int(z[i:j].max()))
-            p0 = lo[i]
-            for n, a, b in zip(nn[i:j].tolist(), (lo[i:j] - p0).tolist(), (hi[i:j] - p0).tolist()):
-                coeffs[n - ns[0]] = complex(val[a:b].sum())
+        val = _summands(t, E, Q, nn, lo, hi, m_max)
+        for n, a, b in zip(nn.tolist(), lo.tolist(), hi.tolist()):
+            coeffs[n - ns[0]] = complex(val[a:b].sum())
     return coeffs, int((hi - lo + m_max).max()) + 1
 
 
-def _summands(t, E, Q, nn, lo, hi, m_max, z):
-    """The summands at the points [lo[0], hi[-1]) of E and Q, which are the
-    points of the n in nn, where z = max(m_max // nn) is 0 for every n or
-    positive for every n.  Every n has its row of one table of partial
+def _summands(t, E, Q, nn, lo, hi, m_max):
+    """The summands at the points of E and Q, which are those of the n in
+    nn, [lo, hi) for each n.  Every n has its row of one table of partial
     products NP (and of zero counts), each distinct argument is gathered
     once from it, and the products run in one _prod chain; with one n,
     nothing per point is added to that.  n divides only per row or per n:
-    zero counts are comparisons m >= l*n, and Q mod n is taken per n."""
+    zero counts are comparisons m >= l*n, and Q mod n is taken per n.  An n
+    whose arguments stay below n has zero counts 0: no zero, binom[0, 0] = 1."""
     forms, slots, _ = t._plan
-    p0, p1 = int(lo[0]), int(hi[-1])
-    E, Q = E[:, p0:p1], Q[p0:p1]
     k, W = len(nn), int(m_max.max()) + 1
+    z = int((m_max // nn).max())
     one = k == 1
     pts, col = hi - lo, nn[:, None]
     # powz holds q^j for j < n of every n, from start on
@@ -245,7 +228,7 @@ def _summands(t, E, Q, nn, lo, hi, m_max, z):
             zero = zero | (zs[d] - (zs[e] if e >= 0 else 0) > 0)
     if np.any(zero):
         val = np.where(zero, 0.0, val)
-    val = _prod(val, powz[_powers(Q, lo - p0, hi - p0, nn, start)])
+    val = _prod(val, powz[_powers(Q, lo, hi, nn, start)])
     if t.epsilon == -1:
         val = np.where(E[-1] % 2 != 0, -val, val)
     return val
@@ -474,7 +457,7 @@ def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
             raise OverflowError(f"c_{n} = {c} is not finite in double precision "
                                 f"({mode} mode)")
         coeffs.append(c)
-    return SeriesData(tuple(coeffs), 1, n_max, mode)
+    return SeriesData(tuple(coeffs), mode)
 
 
 def crosscheck_exact_numeric(t: SpecialQTerm, n: int) -> float:
@@ -526,10 +509,10 @@ def growth_rate(s: SeriesData) -> SingularityEstimate:
     """Richardson extrapolation of the windowed growth rate at three nodes
     m, m/2, m/4 (killing the 1/m and 1/m^2 terms), then a log-linear fit of
     the n^gamma correction on the tail half."""
-    if s.n_max < 200 or s.n_min > s.n_max // 4:
+    if s.n_max < 200:
         raise InsufficientDataError(
             f"growth extrapolation needs the range [n0, 4*n0] with n0 >= 50; "
-            f"got [{s.n_min}, {s.n_max}]")
+            f"got [1, {s.n_max}]")
     m1 = (8 * s.n_max) // 9      # largest node whose window fits the range
     nodes = [m1, m1 // 2, m1 // 4]
     rates = []
@@ -585,7 +568,7 @@ def pade_poles(s: SeriesData, num_degree: int, den_degree: int):
     if L + M + 1 > N + 1:
         raise InsufficientDataError(
             f"[{L}/{M}] needs {L + M + 1} coefficients, have {N + 1}")
-    c = np.array([s.c(n) for n in range(N + 1)], dtype=complex)
+    c = np.array((0j,) + s.coeffs, dtype=complex)
     if not np.all(np.isfinite(c)):
         raise SingularSystemError("non-finite coefficients")
     last = np.nonzero(np.abs(c))[0]
@@ -596,13 +579,10 @@ def pade_poles(s: SeriesData, num_degree: int, den_degree: int):
     if not (math.isfinite(scale) and scale > 0):
         raise SingularSystemError("cannot rescale series")
     ct = c * scale ** (-np.arange(N + 1, dtype=float))
-    rows = range(L + 1, N + 1)
-    A = np.zeros((len(rows), M), dtype=complex)
-    rhs = np.zeros(len(rows), dtype=complex)
-    for r, ell in enumerate(rows):
-        for k in range(1, M + 1):
-            A[r, k - 1] = ct[ell - k] if ell - k >= 0 else 0.0
-        rhs[r] = -ct[ell]
+    # row ell = L+1 .. N: sum_k b_k c_{ell-k} = -c_ell, with c_j = 0 for j < 0
+    idx = np.arange(L + 1, N + 1)[:, None] - np.arange(1, M + 1)
+    A = np.where(idx >= 0, ct[idx], 0)
+    rhs = -ct[L + 1:]
     sol, _res, rank, _sv = np.linalg.lstsq(A, rhs, rcond=None)
     if rank == 0:
         raise SingularSystemError("Toeplitz system is rank deficient")

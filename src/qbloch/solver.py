@@ -55,12 +55,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchParityError, ConfigError, DegenerateFamilyError, DomainError
+from .errors import (BranchParityError, ConfigError, DegenerateFamilyError, DomainError,
+                     as_int)
 from .qterm import LinForm, QTerm
 
 __all__ = [
@@ -213,10 +213,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("starts", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-            setattr(self, name, operator.index(v))   # numpy integers to int
+            setattr(self, name, as_int(getattr(self, name), name, ConfigError))
         if self.starts < 1:
             raise ConfigError(f"starts must be >= 1, got {self.starts}")
         if self.seed < 0:

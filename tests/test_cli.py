@@ -54,8 +54,20 @@ def test_seq_json_format(capsys):
     code, out, _ = _run(capsys, "seq", SPECIAL, "--n-max", "4", "--format", "json")
     assert code == 0
     d = json.loads(out)
+    assert set(d) == {"input", "mode", "n_min", "n_max", "coeffs"}
+    assert d["n_min"] == 1 and d["mode"] == "numeric"
     assert d["n_max"] == 4 and len(d["coeffs"]) == 4
     assert abs(d["coeffs"][1][0] - 5.0) < 1e-9
+
+
+def test_sing_needs_200_coefficients(capsys):
+    code, out, err = _run(capsys, "sing", SPECIAL, "--n-max", "150")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "InsufficientDataError",
+        "message": "growth extrapolation needs the range [n0, 4*n0] with n0 >= 50; "
+                   "got [1, 150]",
+        "violations": []}
 
 
 def test_bloch_command(capsys):

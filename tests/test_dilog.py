@@ -89,6 +89,14 @@ def test_chat_point_branch_parity():
     assert (w2.p, w2.q) == (0, 2) and w2.z == w.z
 
 
+def test_deck_shift_takes_integers_only():
+    w = CHatPoint(0.3 + 0.1j)
+    for dp, dq in ((2.5, 0), (2.0, 0), (0, True), (0, "2")):
+        with pytest.raises(OddShiftError, match="must be an integer"):
+            deck_shift(w, dp, dq)
+    assert deck_shift(w, np.int64(2), 0).p == 2
+
+
 def test_rogers_deck_identity():
     """R(z;p,q) - R(z;0,0) = (pi i/2)(q Log z + p Log(1-z)) - pi^2 p q / 2
     as classes mod Z(2)."""

@@ -113,6 +113,17 @@ def test_bool_is_not_an_integer():
     assert any(x.startswith("/r") for x in ei.value.violations)
 
 
+@pytest.mark.parametrize("value", [True, -1.0, 1.0], ids=["true", "minus_one_float", "one_float"])
+def test_epsilon_and_factor_sign_are_integers(value):
+    obj = _base_obj()
+    obj["epsilon"] = value
+    obj["factors"][0]["sign"] = value
+    with pytest.raises(SchemaError) as ei:
+        parse_qterm_obj(obj)
+    assert ei.value.violations == [f"/epsilon: epsilon must be 1 or -1, got {value!r}",
+                                   f"/factors/0/sign: sign must be 1 or -1, got {value!r}"]
+
+
 def test_integers_outside_int64_rejected():
     obj = _base_obj()
     obj["L"]["coeffs"] = [2 ** 64]

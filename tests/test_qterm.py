@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbloch import series
@@ -190,6 +191,46 @@ def test_shape_mismatch_rejected():
     Q = QuadForm(((0,),), (Fraction(0),))
     with pytest.raises(ValueError):
         QTerm(1, Q, LinForm((0, 0), 0), 1, ())   # r=1 needs 2x2 Q
+
+
+Q0, X = QuadForm(((0,),), (0,)), LinForm((1,))
+
+
+def _four_one_with_epsilon(eps):
+    t = four_one_special()
+    return SpecialQTerm(t.r, t.Q, t.L, eps, t.quads)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinForm((1.5, 2)),
+    lambda: LinForm((1, 2), 0.9),
+    lambda: LinForm((True, 2)),
+    lambda: QuadForm(((2.5,),), (0,)),
+    lambda: QuadForm(((2.0,),), (0,)),
+    lambda: QTerm(0, Q0, X, True, ()),
+    lambda: QTerm(0, Q0, X, -1.0, ()),
+    lambda: QTerm(0, Q0, X, 1, ((X, 1.7),)),
+    lambda: QTerm(0, Q0, X, 1, ((X, True),)),
+    lambda: _four_one_with_epsilon(True),
+    lambda: one_variable_family(1.5, 2.9, 1),
+    lambda: one_variable_family(-1, 2, -1.0),
+], ids=["linform_coeff", "linform_constant", "linform_bool", "quadform_matrix",
+        "quadform_integral_float", "qterm_epsilon_bool", "qterm_epsilon_float",
+        "qterm_sign_float", "qterm_sign_bool", "special_epsilon_bool",
+        "family_a_b", "family_eps"])
+def test_booleans_and_non_integers_are_not_integers(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    f = LinForm((np.int64(2), np.int32(-1)), np.int64(3))
+    assert f == LinForm((2, -1), 3) and type(f.constant) is int
+    t = QTerm(0, QuadForm(((np.int64(-1),),), (Fraction(-1, 2),)), X, np.int64(-1),
+              ((X, np.int64(1)), (X, np.int8(1))))
+    assert t == one_variable_family(np.int64(-1), np.int64(2), np.int64(-1))
+    assert type(t.epsilon) is int and type(t.factors[0][1]) is int
+    assert _four_one_with_epsilon(np.int64(1)) == four_one_special()
 
 
 def test_special_to_qterm_consistency():

@@ -80,22 +80,19 @@ def test_sequence_validation():
 
 
 def test_series_data_accessors():
-    s = SeriesData((1 + 0j, 2 + 0j, 4 + 0j), 1, 3, "numeric")
+    s = SeriesData((1 + 0j, 2 + 0j, 4 + 0j), "numeric")
     assert s.c(0) == 0 and s.c(4) == 0 and s.c(2) == 2
-    assert s.n_range == (1, 3)
     t = s.truncate(2)
     assert t.n_max == 2 and t.c(3) == 0
     rows = list(s.to_csv_rows())
     assert rows[0][0] == 1 and len(rows) == 3
-    with pytest.raises(ValueError):
-        SeriesData((1 + 0j,), 1, 3, "numeric")
 
 
 def test_growth_rate_synthetic():
     # c_n = e^{0.25 n} n^{-1.5}: recover both exponents
     n_max = 500
     coeffs = tuple(complex(math.exp(0.25 * n) * n ** -1.5) for n in range(1, n_max + 1))
-    est = growth_rate(SeriesData(coeffs, 1, n_max, "numeric"))
+    est = growth_rate(SeriesData(coeffs, "numeric"))
     assert abs(est.c - 0.25) < 1e-4
     assert abs(est.poly_exponent + 1.5) < 0.1
     assert abs(est.radius - math.exp(-0.25)) < 1e-4
@@ -104,7 +101,7 @@ def test_growth_rate_synthetic():
 def test_growth_rate_needs_data():
     coeffs = tuple(complex(2.0 ** n) for n in range(1, 120))
     with pytest.raises(InsufficientDataError):
-        growth_rate(SeriesData(coeffs, 1, 119, "numeric"))
+        growth_rate(SeriesData(coeffs, "numeric"))
 
 
 def test_growth_rate_on_trace_sequence(seq1000):
@@ -116,14 +113,14 @@ def test_growth_rate_on_trace_sequence(seq1000):
 def test_pade_geometric_series_exact():
     # sum (2z)^n has a single pole at 1/2
     coeffs = tuple(complex(2.0 ** n) for n in range(1, 31))
-    poles = pade_poles(SeriesData(coeffs, 1, 30, "numeric"), 1, 1)
+    poles = pade_poles(SeriesData(coeffs, "numeric"), 1, 1)
     assert min(abs(p - 0.5) for p in poles) < 1e-8
 
 
 def test_pade_two_pole_series():
     # poles at 0.5 and -0.7
     coeffs = tuple(complex(2.0 ** n + (-1 / 0.7) ** n) for n in range(1, 41))
-    poles = pade_poles(SeriesData(coeffs, 1, 40, "numeric"), 2, 2)
+    poles = pade_poles(SeriesData(coeffs, "numeric"), 2, 2)
     assert min(abs(p - 0.5) for p in poles) < 1e-6
     assert min(abs(p + 0.7) for p in poles) < 1e-6
 
@@ -146,11 +143,11 @@ def test_horner_is_numpy_polynomial_polyval_bit_for_bit():
 
 
 def test_pade_degenerate_input():
-    zero = SeriesData((0j,) * 30, 1, 30, "numeric")
+    zero = SeriesData((0j,) * 30, "numeric")
     with pytest.raises(SingularSystemError):
         pade_poles(zero, 3, 3)
     with pytest.raises(ValueError):
-        pade_poles(SeriesData((1j,) * 30, 1, 30, "numeric"), 3, 0)
+        pade_poles(SeriesData((1j,) * 30, "numeric"), 3, 0)
 
 
 def test_pinned_system_critical_values():
@@ -302,6 +299,13 @@ def _corpus():
             ((LinForm((1, 0, 0), -1), LinForm((0, 1, 1)), z2, z2),
              (LinForm((0, 1, 1)), LinForm((0, 0, 1)),
               LinForm((2, -1, -2), -2), LinForm((1, -1, -1), -1)))),
+        # (-1)^k q^{nk} (q)_{n-1}/(q)_{n-1-k} * (q)_{5-k}: the largest
+        # argument reaches n only for n <= 5, so a numeric block across
+        # n = 5 holds n with zero counts and n without
+        "late_zero": SpecialQTerm(
+            1, QuadForm(((0, 1), (1, 0)), (0, 0)), LinForm((0, 1)), -1,
+            ((z1, z1, LinForm((1, 0), -1), LinForm((1, -1), -1)),
+             (z1, z1, LinForm((0, -1), 5), z1))),
     }
 
 

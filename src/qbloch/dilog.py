@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BranchParityError, DegenerateTupleError, DomainError, OddShiftError, as_int
 
@@ -41,20 +40,21 @@ def plog(z) -> complex:
 
 
 def _bernoulli_u_coeffs(count):
-    # B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j  (B_1 = -1/2 convention);
-    # u-series coefficient for Li2 is B_k / ((k+1) * k!)
-    bern = [Fraction(1)]
+    # u-series coefficient for Li2 is B_k / ((k+1) * k!), with
+    # B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j  (B_1 = -1/2 convention),
+    # run on the integers N_m = D B_m: by von Staudt-Clausen the denominator
+    # of every B_m, m < count, divides D, the product of the primes <= count + 1
+    D = math.prod(p for p in range(2, count + 2)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    N = [D]
     for m in range(1, count):
-        s = Fraction(0)
-        for j in range(m):
-            s += math.comb(m + 1, j) * bern[j]
-        bern.append(-s / (m + 1))
+        N.append(-sum(math.comb(m + 1, j) * N[j] for j in range(m)) // (m + 1))
     coeffs = []
     fact = 1
     for k in range(count):
         if k > 1:
             fact *= k
-        coeffs.append(float(bern[k] / ((k + 1) * fact)))
+        coeffs.append(N[k] / (D * (k + 1) * fact))    # int / int rounds correctly
     return coeffs
 
 
@@ -225,9 +225,10 @@ class CHatPoint:
         if abs(z) < _ZERO_TOL or abs(z - 1.0) < _ZERO_TOL:
             raise DomainError(f"cover point needs z outside {{0,1}}, got {z}")
         for name in ("p", "q"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v % 2 != 0:
+            v = as_int(getattr(self, name), f"branch integer {name}", BranchParityError)
+            if v % 2 != 0:
                 raise BranchParityError(f"branch integer {name} = {v} is not an even integer")
+            object.__setattr__(self, name, v)
 
     @property
     def log_z(self) -> complex:

@@ -32,16 +32,18 @@ share nothing after it:
   2^(nW) - 1, when no step divides once the factors it both multiplies and
   divides by cancel, and otherwise in Z[q], with the result folded mod
   q^n - 1 (the full Laurent polynomial is what exact_polynomial returns).
-  Only the final evaluation at the root of unity is numeric:
-  _eval_ring_mp evaluates the folded vector of n integers in mpmath at 20
-  decimal digits plus the digits of its largest coefficient and of n.
-  That precision is a heuristic, not a need: the unfolded polynomial's
-  coefficients grow like C^n, and the folded vector's condition
-  sum |a_i| / |c_n| depends on the term.  It measured 1.27 for 4_1 and 5_2,
-  and at most 56 on the r = 1 terms of perfbench's special_corpus(1..5) for
-  n <= 25, but on its r = 2 terms it passes 100 from n = 8 to 12 and reaches
-  7.2e9 (seed 4, term 6, n = 25).  A float64 evaluation of the folded
-  vector (ROADMAP item 3) would lose that many digits there.
+  The folded vector of n integers is evaluated at the root of unity in
+  Python integers too (_eval_ring_mp): fixed point at a precision taken
+  from sum |a_i|, a root of unity refined by Newton's method, and a proven
+  error bound.  Before the rounding to double, each part of c_n is off by
+  at most 2^-60 of its modulus and 2^-64 absolutely, and a part is exactly
+  0 where it vanishes (Phi_n divides a polynomial made from the vector).
+  The folded vector's condition sum |a_i| / |c_n| depends on the term: it
+  measured 1.27 for 4_1 and 5_2, and at most 56 on the r = 1 terms of
+  perfbench's special_corpus(1..5) for n <= 25, but on its r = 2 terms it
+  passes 100 from n = 8 to 12 and reaches 7.2e9 (seed 4, term 6, n = 25).
+  A float64 evaluation of the folded vector would lose that many digits
+  there; the fixed-point one works at 64 bits plus those of sum |a_i|.
 
 Downstream: growth-rate extrapolation (Richardson in 1/n plus a polynomial
 correction fit), Pade pole extraction on a rescaled Toeplitz system, the
@@ -49,10 +51,10 @@ root-of-unity factorial asymptotics, the empirical potential comparison, the
 independent Laplace term-ratio derivation of the variational equations, and
 the singularity-vs-critical-value report.
 
-Double precision bounds both modes (exact mode converts its mpmath value to
-complex): the built-in term first overflows at c_2163 in both.  sequence raises
-OverflowError at the first c_n that is not finite, and check_conjecture
-turns that into an inconclusive note.
+Double precision bounds both modes (exact mode rounds its fixed-point value
+to complex): the built-in term first overflows at c_2163 in both.  sequence
+raises OverflowError at the first c_n that is not finite, and
+check_conjecture turns that into an inconclusive note.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ _RESIDUE_REL_TOL = 1e-7   # pade_poles drops poles with a smaller relative resid
 _NEAR_DISK = 1.5          # poles within this multiple of the radius are compared
 _CONSISTENT_TOL = 0.05    # relative defects below this read "consistent"
 _INCONSISTENT_TOL = 0.25  # and above this "inconsistent"
-_LOG10_2 = (30102999566398119521373889472449302676, 10 ** 38)   # log10(2), rounded down
 _BLOCK = 12288            # points plus table entries per block of numeric coefficients
 
 
@@ -389,34 +390,147 @@ def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
     return LaurentPoly({origin + i: c for i, c in enumerate(coeffs) if c})
 
 
-def _digits(x: int) -> int:
-    """len(str(x)) for an int x > 0, without the decimal conversion (which
-    is quadratic, and refused past 4300 digits).  With b = x.bit_length(),
-    2^(b-1) <= x < 2^b puts floor(log10 x) at k or k + 1, where
-    k = floor((b-1) log10 2); one comparison with 10^(k+1) decides."""
-    num, den = _LOG10_2
-    k = (x.bit_length() - 1) * num // den
-    return k + 1 + (x >= 10 ** (k + 1))
+# ----------------------------------------------------------------------
+# the folded vector at the root of unity, in integer fixed point
+#
+# A complex number x + iy is held as the two ints X ~ 2^p x and Y ~ 2^p y:
+# one ulp is 2^-p.  A product floors each part once, so it adds less than
+# sqrt(2) ulps of error.
+
+def _fixed_pow(x, y, n, p):
+    """(x + iy)^n at p bits, left-to-right binary powering.  For |x + iy|
+    within 2^-40 of 1 it is off by at most 3n ulps: an error made at the
+    exponent m grows by a factor n/m, and the exponents after the squarings
+    and after the multiplies each at least double."""
+    rx, ry = x, y
+    for bit in bin(n)[3:]:
+        rx, ry = (rx * rx - ry * ry) >> p, (2 * rx * ry) >> p
+        if bit == "1":
+            rx, ry = (rx * x - ry * y) >> p, (rx * y + ry * x) >> p
+    return rx, ry
+
+
+def _root_of_unity(n, p):
+    """zeta_n = e^{2pi*i/n} at p >= 53 bits, within 6 ulps, by Newton's
+    method on z^n = 1 from the double cmath.exp(2pi*i/n) (within 2^-48):
+    z <- z - z (z^n - 1) / n.  With z = zeta (1 + h) a step leaves
+    (n + 1)/2 h^2 plus higher terms, at most 2^(n.bit_length() + 1) h^2
+    while n |h| <= 2^-10, and adds at most 4.5 ulps of rounding: 3n from
+    z^n divided by n, and one floor.  So 2^-b bounds the error less the
+    rounding, and the loop ends once 2^-b is at most half an ulp.  No pi is
+    needed."""
+    z = cmath.exp(2j * math.pi / n)
+    x, y = int(z.real * 2 ** 53) << (p - 53), int(z.imag * 2 ** 53) << (p - 53)
+    b, den = 48, n << p
+    while b <= p:
+        wx, wy = _fixed_pow(x, y, n, p)
+        wx -= 1 << p
+        x, y = x - (x * wx - y * wy) // den, y - (x * wy + y * wx) // den
+        b = 2 * b - n.bit_length() - 1
+    return x, y
+
+
+def _fixed_value(vec, n, p):
+    """sum a_k zeta_n^k at p bits, as (X, Y) in ulps.  zeta^(n-k) is the
+    conjugate of zeta^k and zeta^(n/2) = -1, so only the powers k < n/2 are
+    formed, by repeated multiplication by the root; the sum is exact.  With
+    the root within 6 ulps, zeta^k is within 7.5k ulps, and the sum within
+    7.5 (n/2) sum |a_k| < 4n sum |a_k| ulps."""
+    X, Y = vec[0] << p, 0
+    if n % 2 == 0:
+        X -= vec[n // 2] << p
+    if n > 2:
+        zx, zy = _root_of_unity(n, p)
+        x, y = zx, zy
+        for k in range(1, (n + 1) // 2):
+            a, b = vec[k], vec[n - k]
+            X += (a + b) * x
+            Y += (a - b) * y
+            x, y = (x * zx - y * zy) >> p, (x * zy + y * zx) >> p
+    return X, Y
+
+
+def _cyclotomic(n):
+    """The coefficients of Phi_n, lowest first: Phi_mp(x) = Phi_m(x^p) / Phi_m(x)
+    for each prime p | n from Phi_1 = x - 1, then x -> x^(n / rad n)."""
+    f, m, rad, p = [-1, 1], n, 1, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            g = [0] * ((len(f) - 1) * p + 1)
+            g[::p] = f
+            f, rad = _divmod_monic(g, f)[0], rad * p
+        p += 1
+    out = [0] * ((len(f) - 1) * (n // rad) + 1)
+    out[::n // rad] = f
+    return out
+
+
+def _divmod_monic(a, f):
+    """(quotient, remainder) of the integer polynomials a and f, lowest
+    coefficient first, for a monic f."""
+    d, r = len(f) - 1, list(a)
+    quo = [0] * max(len(a) - d, 0)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            quo[i - d] = c
+            for j, fj in enumerate(f):
+                r[i - d + j] -= c * fj
+    return quo, r[:d]
+
+
+def _to_float(v, p):
+    """v 2^-p, correctly rounded (int / int), and +-inf past the double range."""
+    try:
+        return v / (1 << p)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _eval_ring_mp(vec, n) -> complex:
-    """Evaluate an integer vector of Z[q]/(q^n - 1) at q = e^{2pi*i/n} in
-    mpmath, with working precision scaled to the coefficient magnitude —
-    the coefficients grow like C^n while the value stays polynomial in n,
-    so the cancellation eats ~n*log10(C) digits."""
-    import mpmath as mp
+    """c = a(zeta_n) for an integer vector a of Z[q]/(q^n - 1), in Python
+    integers: each part of c to 2^-60 relative and at most 2^-64 absolute
+    (before the final rounding to double), or exactly 0.
 
-    big = max((abs(c) for c in vec if c), default=0)
-    digits = _digits(big) if big else 1
-    with mp.workdps(20 + digits + len(str(n))):
-        zeta = mp.exp(2j * mp.pi / n)
-        val = mp.polyval([mp.mpf(c) for c in reversed(vec)], zeta)
-        return complex(val)
+    With S = sum |a_k| and P = S.bit_length() + 64, the sum runs at
+    p = P + n.bit_length() + 2 bits, where 4n ulps are less than 2^-P, so
+    |c_hat - c| < S 2^-P < 2^-64 (_fixed_value).  Where that bound exceeds
+    2^-60 of a part of c_hat, the part may be 0.  2 Re c and 2i Im c are
+    the values at zeta of a(x) + a(1/x) and a(x) - a(1/x), so the part is 0
+    exactly when Phi_n divides that polynomial, and then it is 0.0.
+    Otherwise P doubles until the bound holds, which ends: a nonzero value
+    b(zeta) of b in Z[x] is at least (sum |b_k|)^-(phi(n) - 1) in modulus,
+    as its norm is a nonzero integer and each conjugate is at most sum |b_k|."""
+    S = sum(map(abs, vec))
+    if not S:
+        return 0j
+    G = n.bit_length() + 2
+    P = S.bit_length() + 64
+    zero = [None, None]         # whether each part is 0, once tested
+    while True:
+        parts = _fixed_value(vec, n, P + G)
+        short = False
+        for i, v in enumerate(parts):
+            # S 2^-P <= 2^-60 |v| 2^-(P + G)
+            if zero[i] or abs(v) >= S << (60 + G):
+                continue
+            if zero[i] is None:
+                b = [a + (-1) ** i * vec[-k] for k, a in enumerate(vec)]
+                zero[i] = not any(_divmod_monic(b, _cyclotomic(n))[1])
+            short = short or not zero[i]
+        if not short:
+            return complex(*(0.0 if z else _to_float(v, P + G) for z, v in zip(zero, parts)))
+        P *= 2
 
 
 def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
     v, W, origin = _walk(t, n, ring=True)
     # q^n = 1: times q^origin, then mod 2^(nW) - 1
+    # (called through the module binding of _eval_ring_mp: perfbench/spans.py wraps it)
     return _eval_ring_mp(_unpack(v << origin % n * W, W, n, ring=True), n)
 
 
@@ -462,8 +576,8 @@ def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
 
 def crosscheck_exact_numeric(t: SpecialQTerm, n: int) -> float:
     """|c_exact - c_numeric| — two evaluation routes that share only the
-    enumeration of the slice (SpecialQTerm._slice_rows): the ratio walk in
-    Z[q] with mpmath, and floating point at the root of unity."""
+    enumeration of the slice (SpecialQTerm._slice_rows): the ratio walk and
+    its evaluation in integers, and floating point at the root of unity."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return abs(_coeff_exact(t, n) - _coeff_numeric(t, n))

@@ -276,3 +276,23 @@ def test_check_and_solve_load_neither_numpy_random_nor_numpy_polynomial(tmp_path
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_exact_mode_never_imports_mpmath(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    seq = ["seq", SPECIAL, "--n-max", "30", "--mode", "exact",
+           "--output", str(tmp_path / "seq.csv")]
+    check = ["check", SPECIAL, "--mode", "exact", "--n-max", "30",
+             "--output", str(tmp_path / "check.json")]
+    code = (
+        "import sys\n"
+        "import qbloch.cli as cli\n"
+        f"assert cli.main({seq!r}) == 0\n"
+        f"assert cli.main({check!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mpmath')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from qbloch import dilog
 from qbloch.dilog import (CHatPoint, ModZ1Value, ModZ2Value, bloch_wigner,
                           deck_shift, five_term_args, five_term_defect_D2,
                           five_term_defect_rogers, li2, phi, plog, rogers_hat)
@@ -87,6 +89,28 @@ def test_chat_point_branch_parity():
         deck_shift(w, 1, 0)
     w2 = deck_shift(w, -2, 6)
     assert (w2.p, w2.q) == (0, 2) and w2.z == w.z
+
+
+def test_chat_point_rejects_bool_and_float_branch_integers():
+    with pytest.raises(BranchParityError, match="must be an integer"):
+        CHatPoint(0.3 + 0.1j, False, 0)
+    with pytest.raises(BranchParityError, match="must be an integer"):
+        CHatPoint(0.3 + 0.1j, 0, 2.0)
+
+
+def test_chat_point_stores_numpy_branch_integers_as_int():
+    w = CHatPoint(0.3 + 0.1j, np.int64(2), np.int64(-4))
+    assert (w.p, w.q) == (2, -4) and type(w.p) is int and type(w.q) is int
+
+
+def test_bernoulli_table_is_the_fraction_recurrence_bit_for_bit():
+    # B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j in exact rationals, then
+    # B_k / ((k+1) k!) rounded once
+    bern = [Fraction(1)]
+    for m in range(1, 64):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    want = [float(b / ((k + 1) * math.factorial(k))) for k, b in enumerate(bern)]
+    assert [c.hex() for c in dilog._U_COEFFS] == [c.hex() for c in want]
 
 
 def test_deck_shift_takes_integers_only():

@@ -561,12 +561,90 @@ def test_width_holds_every_true_coefficient(name, monkeypatch):
         assert max(map(abs, coeffs), default=0) <= 2 ** (W - 1) - 2, (n, ring)
 
 
-def test_digit_count_matches_str_around_powers_of_ten():
-    for e in list(range(1, 60)) + [307, 308, 1000, 4299]:
-        for x in (10 ** e - 1, 10 ** e, 10 ** e + 1, 2 ** e, 2 ** e - 1):
-            assert series._digits(x) == len(str(x)), x
-    assert series._digits(10 ** 5000 - 1) == 5000     # past str's 4300-digit limit
-    assert series._digits(10 ** 5000) == 5001
+def _folded_vectors():
+    """(name, n, a): the folded vector of every c_n that exact mode
+    evaluates, for the CORPUS terms at n <= 25 and 4_1 at n <= 200."""
+    for name, t, n_max in [(k, v, 25) for k, v in sorted(CORPUS.items())] + [
+            ("four_one", four_one_special(), 200)]:
+        for n in range(1, n_max + 1):
+            v, W, origin = series._walk(t, n, ring=True)
+            yield name, n, series._unpack(v << origin % n * W, W, n, ring=True)
+
+
+def test_eval_ring_matches_a_100_digit_reference():
+    import mpmath
+
+    zeros = 0
+    with mpmath.workdps(100):
+        for name, n, a in _folded_vectors():
+            got = series._eval_ring_mp(a, n)
+            want = mpmath.polyval([mpmath.mpf(c) for c in reversed(a)],
+                                  mpmath.exp(2j * mpmath.pi / n))
+            # a part that is 0 to 90 digits of sum |a_k| is 0; the rest
+            # within 2^-52 |c|
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                if abs(w) < mpmath.mpf(10) ** -90 * (1 + sum(map(abs, a))):
+                    zeros += 1
+                    assert g == 0.0, (name, n, got)
+                else:
+                    assert abs(g - w) <= 2.0 ** -52 * abs(want), (name, n, got)
+    assert zeros > 200      # real c_n, and zeros of q-Lucas and late_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 15, 30, 36, 105])
+def test_cyclotomic_polynomial_has_the_primitive_roots(n):
+    # monic of degree phi(n), zero at every primitive n-th root of unity, and
+    # the product of Phi_d over d | n is x^n - 1, exactly
+    phi = series._cyclotomic(n)
+    primitive = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    assert len(phi) == len(primitive) + 1 and phi[-1] == 1
+    for k in primitive:
+        z = cmath.exp(2j * math.pi * k / n)
+        assert abs(sum(c * z ** e for e, c in enumerate(phi))) < 1e-9 * sum(map(abs, phi)), k
+    prod = LaurentPoly({0: 1})
+    for d in range(1, n + 1):
+        if n % d == 0:
+            prod = prod * LaurentPoly(dict(enumerate(series._cyclotomic(d))))
+    assert prod == LaurentPoly({0: -1, n: 1})
+    if n == 105:
+        assert -2 in phi           # the first cyclotomic coefficient past +-1
+
+
+def test_eval_ring_is_exactly_zero_where_phi_n_divides():
+    rng = random.Random(5)
+    # [3, 3, 3] at n = 3 is the folded vector of perfbench's special_corpus(3)[6]
+    assert series._eval_ring_mp([3, 3, 3], 3) == 0j
+    assert series._eval_ring_mp([0, 1, 0, 0], 4) == 1j          # i, no real noise
+    assert series._eval_ring_mp([1, 0, 1, 0, 0, 0], 6) == complex(0.5, 0.5 * math.sqrt(3))
+    for n in (1, 2, 5, 9, 12, 30, 31):
+        phi = series._cyclotomic(n)
+        g = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)]
+        a = [0] * n
+        for i, x in enumerate(g):
+            for j, y in enumerate(phi):
+                a[(i + j) % n] += x * y             # Phi_n g mod x^n - 1
+        if any(a):
+            assert series._eval_ring_mp(a, n) == 0j, n
+        # one more unit at q^0: the value is exactly 1
+        a[0] += 1
+        assert series._eval_ring_mp(a, n) == 1, n
+
+
+def test_eval_ring_raises_precision_for_a_small_value():
+    # F_m (zeta + zeta^4) - F_(m-1) at n = 5 is F_m / g - F_(m-1), g the
+    # golden ratio, of modulus g^-m ~ 2^-139 for m = 200, with coefficients
+    # ~ 2^138: the first pass bounds the error by 2^-64 only
+    import mpmath
+
+    fib = [0, 1]
+    while len(fib) <= 200:
+        fib.append(fib[-1] + fib[-2])
+    a = [-fib[199], fib[200], 0, 0, fib[200]]
+    got = series._eval_ring_mp(a, 5)
+    with mpmath.workdps(200):
+        want = fib[200] * 2 * mpmath.cos(2 * mpmath.pi / 5) - fib[199]
+        assert got.imag == 0.0 and abs(got.real - want) <= 2.0 ** -52 * abs(want)
+        assert abs(want) < 1e-41
 
 
 def test_eval_ring_mp_past_the_str_digit_limit():

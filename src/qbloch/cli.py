@@ -15,7 +15,8 @@ violation) with a machine-readable JSON object on stderr; 2 numerical
 failure (non-convergence, singular systems, failed selftest).
 
 With --output the artifact is written atomically (temp file + rename);
-otherwise it goes to stdout.  Only seq takes --format (csv or json).
+otherwise it goes to stdout, where a reader that closes early (head) ends
+the output and the exit code stays 0.  Only seq takes --format (csv or json).
 
 argparse owns the flags; the defaults of --starts, --seed, --tol and of the
 sing/check --n-max are read from SolverConfig and ConjectureConfig, and
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .bloch import beta_hat, bw_of_element, certify_diagram, certify_nu_hat, cv_set, rogers_of_element
@@ -151,19 +153,28 @@ _HANDLERS = {"solve": _cmd_solve, "bloch": _cmd_bloch, "cv": _cmd_cv,
 def _emit(ns, kind, payload):
     if kind == "none":
         return
-    if kind == "csv":
-        if ns.output:
+    if ns.output:
+        if kind == "csv":
             write_csv_atomic(ns.output, payload, _SEQ_HEADER)
         else:
+            write_json_atomic(ns.output, payload)
+        return
+    try:
+        if kind == "csv":
             w = csv.writer(sys.stdout)
             w.writerow(_SEQ_HEADER)
             w.writerows(payload)
-        return
-    if ns.output:
-        write_json_atomic(ns.output, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        else:
+            json.dump(payload, sys.stdout, indent=1, sort_keys=True)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`qbloch seq ... | head`), which ends the
+        # output; fd 1 then points at devnull, so that the interpreter's
+        # final flush of what is still buffered does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _error_json(exc) -> str:

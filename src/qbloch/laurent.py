@@ -27,6 +27,14 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
+    def _of(cls, coeffs: dict):
+        """The polynomial of a dict {int exponent: nonzero int coefficient},
+        taken as it is: no check and no copy."""
+        p = cls.__new__(cls)
+        p._c = coeffs
+        return p
+
+    @classmethod
     def zero(cls):
         return cls()
 

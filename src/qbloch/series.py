@@ -23,10 +23,15 @@ share nothing after it:
   and one product chain over all its points; then a sum per n.  The work
   is O(P + sum of n) per block, with P_n ~ n^r lattice points per n, and
   every c_n is bit for bit what the same code gives for n alone.
-* exact — one integer ratio walk through the points of SpecialQTerm.lattice(n)
-  sums the summands, for any term and any n.  Each polynomial is one Python
-  int, its value at q = 2^W (Kronecker substitution), with W a whole number
-  of bytes chosen from a proven bound on the final coefficients; a step
+* exact — one integer ratio walk through the points of the n-th slice
+  sums the summands, for any term and any n.  sequence runs consecutive n
+  in blocks here too (_walks): a block makes one enumeration of its slices,
+  one diff of the factorial arguments between consecutive points and one
+  table of the net factors of every step, and then runs the big-integer
+  walk once per n; every c_n is bit for bit what the block of n alone
+  gives.  Each polynomial is one Python int, its value at q = 2^W
+  (Kronecker substitution), with W a whole number of bytes chosen from a
+  proven bound on the final coefficients; a step
   multiplies by 1 - q^j with one shift and one subtraction, and divides
   exactly by doubling shifts.  The walk runs in Z[q]/(q^n - 1), i.e. mod
   2^(nW) - 1, when no step divides once the factors it both multiplies and
@@ -89,7 +94,7 @@ _RESIDUE_REL_TOL = 1e-7   # pade_poles drops poles with a smaller relative resid
 _NEAR_DISK = 1.5          # poles within this multiple of the radius are compared
 _CONSISTENT_TOL = 0.05    # relative defects below this read "consistent"
 _INCONSISTENT_TOL = 0.25  # and above this "inconsistent"
-_BLOCK = 12288            # points plus table entries per block of numeric coefficients
+_BLOCK = 12288            # the cost budget of a block of coefficients (_blocks)
 
 
 # ----------------------------------------------------------------------
@@ -292,26 +297,27 @@ def _unpack(v: int, W: int, m: int, ring: bool = False) -> list:
             for i in range(0, m * w8, w8)]
 
 
-def _width(F) -> int:
-    """A whole-byte W with 2^(W-1) - 2 >= sum_p L1(t_p), which bounds every
-    coefficient of the sum and of its fold mod q^n - 1: L1 is
-    submultiplicative, L1(qbinom(B, C)) = binom(B, C) and
+def _widths(B, C, D, E, ends) -> list:
+    """For each n, whose points are ends[i]:ends[i + 1] of the (quads,
+    points) argument arrays, a whole-byte W with 2^(W-1) - 2 >= sum_p
+    L1(t_p), which bounds every coefficient of the sum and of its fold mod
+    q^n - 1: L1 is submultiplicative, L1(qbinom(B, C)) = binom(B, C) and
     L1(prod_{E<j<=D} (1 - q^j)) <= 2^(D - E)."""
-    B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
     span = int(C.max(initial=0)) + 1
     pairs, inv = np.unique(B * span + C, return_inverse=True)
     # binom(B, C) <= 2^bits
     bits = np.array([(math.comb(*divmod(x, span)) - 1).bit_length() for x in pairs.tolist()],
                     dtype=np.int64)[inv.reshape(B.shape)] + D - E
-    bound = sum(1 << b for b in bits.sum(axis=1).tolist())
-    return -(-((bound + 2).bit_length() + 1) // 8) * 8
+    bits = bits.sum(axis=0).tolist()
+    return [-(-((sum(1 << b for b in bits[lo:hi]) + 2).bit_length() + 1) // 8) * 8
+            for lo, hi in zip(ends, ends[1:])]
 
 
-def _walk(t: SpecialQTerm, n: int, ring: bool):
-    """Sum of t_{(n,k')} over the admissible k' by one ratio walk through the
-    lattice points (in snake order when r >= 2), packed at q = 2^W:
-    (v, W, origin) with v = sum a_i 2^(iW) and a_i the coefficient of
-    q^(origin + i).
+def _walks(t: SpecialQTerm, ns, ring: bool):
+    """(walks, cost): for each n of the consecutive increasing ns, the sum
+    of t_{(n,k')} over the admissible k' by one ratio walk through the
+    lattice points (in snake order when r >= 2), packed at q = 2^W: (v, W,
+    origin) with v = sum a_i 2^(iW) and a_i the coefficient of q^(origin + i).
 
     Each summand is q^Q eps^L prod (q)_X^{+-1} over the five factorial
     arguments B+, C-, (B-C)-, D+, E- of every quad.  Between consecutive
@@ -323,43 +329,97 @@ def _walk(t: SpecialQTerm, n: int, ring: bool):
     still to come).  The running product leaves out q^Q eps^L, which enter
     as each summand is added.
 
-    With ring=True and no step left dividing, the walk runs in
+    With ring=True and no step of n left dividing, n's walk runs in
     Z[q]/(q^n - 1): v is a residue mod 2^(nW) - 1 and origin is 0.
-    Otherwise it runs in Z[q] from the lowest exponent, origin = min Q."""
-    kp, F, Q, L = t.lattice(n)
-    if not len(kp):
-        return 0, 8, 0
+    Otherwise it runs in Z[q] from the lowest exponent, origin = min Q.
+
+    The set-up is one pass for the block: one _slice_rows call, one matrix
+    of the arguments at every point and one of their values at the point
+    before (the first point of each n starts from a virtual point where the
+    product is 1), one nonzero diff, and every changed range expanded into
+    (step, j, +-1) entries whose net power per (step, j) one np.unique and
+    one bincount give.  Only the big-integer loop runs once per n.  cost,
+    the largest count of points plus expanded entries of one n, sizes the
+    next block.  Raises OverflowError where _slice_rows(ns) does."""
+    u, count, x, E, Q = t._slice_rows(ns, t._rows)
+    P, f = len(x), 4 * len(t.quads)
+    # n's points are ends[i]:ends[i + 1], and their first is heads
+    ends = np.concatenate(([0], np.cumsum(count)))[
+        np.searchsorted(u[:, 0], np.arange(ns[0], ns[-1] + 2))]
+    pts = np.diff(ends)
+    heads = ends[:-1][pts > 0]
     if t.r >= 2:
         # snake order: the last coordinate runs backwards on every other
         # row, so consecutive points stay neighbours and steps stay short
-        last = np.where(kp[:, :-1].sum(axis=1) % 2, -kp[:, -1], kp[:, -1])
-        order = np.lexsort(np.vstack((last, kp[:, -2::-1].T)))
-        F, Q, L = F[order], Q[order], L[order]
-    B, C, D, E = F[..., 0], F[..., 1], F[..., 2], F[..., 3]
-    # a virtual point before the first, where the product is 1:
-    # qbinom(B-C, 0) and (q)_E / (q)_E
-    start = np.concatenate((B[0] - C[0], E[0], np.zeros_like(C[0]), B[0] - C[0], E[0]))
-    X = np.vstack((start, np.concatenate((B, D, C, B - C, E), axis=1)))
-    sign = np.where(np.arange(X.shape[1]) < 2 * len(t.quads), 1, -1)
-    p, s = np.nonzero(np.diff(X, axis=0))
-    a, b = X[p, s], X[p + 1, s]
-    net = [{} for _ in range(len(Q))]          # per step: j -> power of 1 - q^j
-    for i, e, lo, hi in zip(p.tolist(), np.sign((b - a) * sign[s]).tolist(),
-                            np.minimum(a, b).tolist(), np.maximum(a, b).tolist()):
-        d = net[i]
-        for j in range(lo + 1, hi + 1):
-            d[j] = d.get(j, 0) + e
-    steps = [([j for j, e in d.items() for _ in range(e)],
-              [j for j, e in d.items() for _ in range(-e)]) for d in net]
-    W = _width(F)
-    flips = ((np.diff(L, prepend=0) % 2 != 0) & (t.epsilon == -1)).tolist()
-    cur, acc, neg = 1, 0, False
-    if ring and not any(div for _, div in steps):
+        first = np.repeat(np.cumsum(count) - count, count)
+        back = np.repeat(u[:, 2:].sum(axis=1) % 2 != 0, count)
+        order = np.arange(P)
+        order = np.where(back, 2 * first + np.repeat(count, count) - 1 - order, order)
+        E, Q = E[:, order], Q[order]
+    B, C, D, L, E = E[0:f:4], E[1:f:4], E[2:f:4], E[f], E[3:f:4]
+    X = np.concatenate((B, D, C, B - C, E))
+    # the virtual point before each head: qbinom(B-C, 0) and (q)_E / (q)_E
+    prev = np.empty_like(X)
+    prev[:, 1:] = X[:, :-1]
+    bc, e = B[:, heads] - C[:, heads], E[:, heads]
+    prev[:, heads] = np.concatenate((bc, e, np.zeros_like(bc), bc, e))
+    p, s = np.nonzero((X != prev).T)
+    a, b = prev[s, p], X[s, p]
+    # (step, j, +-1) for every j in each changed range (lo, hi], by step
+    size = np.abs(b - a)
+    step = np.repeat(p, size)
+    j = np.arange(len(step)) - np.repeat(np.cumsum(size) - size - np.minimum(a, b) - 1, size)
+    sign = np.where(s < 2 * len(t.quads), 1, -1) * np.sign(b - a)
+    span = int(j.max(initial=0)) + 1
+    keys, inv = np.unique(step * span + j, return_inverse=True)
+    net = np.bincount(inv, weights=np.repeat(sign, size)).astype(np.int64)
+    keys, net = keys[net != 0], net[net != 0]
+    # one entry per factor, the multiplies of a step before its divides
+    order = np.lexsort((net < 0, keys // span))
+    keys, net = keys[order], net[order]
+    keys, div = np.repeat(keys, np.abs(net)), np.repeat(net < 0, np.abs(net))
+    at, j = keys // span, keys % span
+    # point i applies the entries cut[i]:cut[i + 1], its multiplies up to mid[i]
+    cut = np.searchsorted(at, np.arange(P + 1))
+    mid = cut[:-1] + np.bincount(at[~div], minlength=P)
+    in_ring = ring & (np.diff(np.searchsorted(at[div], ends)) == 0)
+    widths = _widths(B, C, D, E, ends)
+    origins = np.zeros(len(pts), dtype=np.int64)
+    if len(heads):
+        origins[pts > 0] = np.minimum.reduceat(Q, heads)
+    origins[in_ring] = 0
+    Wp = np.repeat(np.array(widths, dtype=np.int64), pts)
+    Q = Q - np.repeat(origins, pts)
+    if ring:        # q^n = 1 in the ring: exponents mod n
+        nn, rp = np.repeat(np.arange(ns[0], ns[-1] + 1), pts), np.repeat(in_ring, pts)
+        Q = np.where(rp, Q % nn, Q)
+        j = np.where(rp[at], j % nn[at], j)
+    prevL = np.empty_like(L)
+    prevL[1:] = L[:-1]
+    prevL[heads] = 0
+    flips = (((L - prevL) % 2 != 0) & (t.epsilon == -1)).tolist()
+    shifts, js = (Q * Wp).tolist(), (j * Wp[at]).tolist()
+    cost = int(np.diff(ends + np.searchsorted(step, ends)).max(initial=0))
+    cut, mid, ends = cut.tolist(), mid.tolist(), ends.tolist()
+    walks = []
+    for n, lo, hi, W, plain, origin in zip(ns, ends, ends[1:], widths, (~in_ring).tolist(),
+                                           origins.tolist()):
+        steps = zip(cut[lo:hi], mid[lo:hi], cut[lo + 1:hi + 1], flips[lo:hi], shifts[lo:hi])
+        cur, acc, neg = 1, 0, False
+        if plain:
+            for c0, c1, c2, flip, shift in steps:
+                for j in js[c0:c1]:                      # times (1 - q^j)
+                    cur -= cur << j
+                for j in js[c1:c2]:
+                    cur = _div_1mx(cur, j)
+                neg ^= flip
+                acc = acc - (cur << shift) if neg else acc + (cur << shift)
+            walks.append((acc, W, origin))
+            continue
         k = n * W
         M = (1 << k) - 1
-        for (mul, _), flip, shift in zip(steps, flips, (Q % n * W).tolist()):
-            for j in mul:                                # times (1 - q^j)
-                j = j % n * W
+        for c0, _, c1, flip, shift in steps:
+            for j in js[c0:c1]:
                 cur -= ((cur << j) & M) | (cur >> (k - j))
                 if cur < 0:
                     cur += M
@@ -368,16 +428,8 @@ def _walk(t: SpecialQTerm, n: int, ring: bool):
             acc += M - x if neg else x
             if acc >= M:
                 acc -= M
-        return acc, W, 0
-    origin = int(Q.min())
-    for (mul, div), flip, shift in zip(steps, flips, ((Q - origin) * W).tolist()):
-        for j in mul:
-            cur -= cur << j * W
-        for j in div:
-            cur = _div_1mx(cur, j * W)
-        neg ^= flip
-        acc = acc - (cur << shift) if neg else acc + (cur << shift)
-    return acc, W, origin
+        walks.append((acc, W, 0))
+    return walks, cost
 
 
 def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
@@ -385,9 +437,9 @@ def exact_polynomial(t: SpecialQTerm, n: int) -> LaurentPoly:
     coefficients, no root-of-unity reduction), from the ratio walk in Z[q]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    v, W, origin = _walk(t, n, ring=False)
+    (v, W, origin), = _walks(t, [n], False)[0]
     coeffs = _unpack(v, W, v.bit_length() // W + 2)
-    return LaurentPoly({origin + i: c for i, c in enumerate(coeffs) if c})
+    return LaurentPoly._of({origin + i: c for i, c in enumerate(coeffs) if c})
 
 
 # ----------------------------------------------------------------------
@@ -527,46 +579,60 @@ def _eval_ring_mp(vec, n) -> complex:
         P *= 2
 
 
-def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
-    v, W, origin = _walk(t, n, ring=True)
+def _block_exact(t: SpecialQTerm, ns):
+    """(coeffs, cost): c_n at q = e^{2pi*i/n} for every n of the
+    consecutive increasing ns, from one block of ring walks (_walks), each
+    folded vector evaluated by _eval_ring_mp.  Raises OverflowError where
+    _slice_rows(ns) does."""
+    walks, cost = _walks(t, ns, True)
     # q^n = 1: times q^origin, then mod 2^(nW) - 1
     # (called through the module binding of _eval_ring_mp: perfbench/spans.py wraps it)
-    return _eval_ring_mp(_unpack(v << origin % n * W, W, n, ring=True), n)
+    return [_eval_ring_mp(_unpack(v << origin % n * W, W, n, ring=True), n)
+            for n, (v, W, origin) in zip(ns, walks)], cost
 
 
-def _sequence_numeric(t: SpecialQTerm, n_max: int):
-    """c_1, ..., c_{n_max} in numeric mode, in blocks of consecutive n of
-    about _BLOCK points plus table entries each: a block at most doubles
-    the previous one's count of n, and an empty one is followed by one n.
-    A block that refuses is run again one n at a time, lazily, so each n
-    refuses exactly as lattice(n) does, in order."""
+def _coeff_exact(t: SpecialQTerm, n: int) -> complex:
+    """c_n from the ring walk: the block of the one n (_block_exact).
+    Raises OverflowError where lattice(n) does."""
+    return _block_exact(t, [n])[0][0]
+
+
+def _blocks(t: SpecialQTerm, n_max: int, block):
+    """c_1, ..., c_{n_max} from block(t, ns) -> (coeffs, cost), in blocks of
+    consecutive n: a block at most doubles the previous one's count of n
+    and keeps the count times the previous block's cost within _BLOCK, and
+    an empty one (cost 0) is followed by one n.  A block that refuses is
+    run again one n at a time, lazily, so each n refuses exactly as
+    lattice(n) does, in order."""
     n, k = 1, 1
     while n <= n_max:
         ns = range(n, min(n + k, n_max + 1))
         try:
-            coeffs, cost = _block_numeric(t, ns)
+            coeffs, cost = block(t, ns)
         except OverflowError:
             if len(ns) == 1:
                 raise
-            coeffs, cost = (_coeff_numeric(t, m) for m in ns), 0
+            coeffs, cost = (block(t, [m])[0][0] for m in ns), 0
         yield from coeffs
         n += len(ns)
         k = max(1, min(2 * len(ns), _BLOCK // cost)) if cost else 1
 
 
 def sequence(t: SpecialQTerm, n_max: int, mode: str = "numeric") -> SeriesData:
-    """c_n for n = 1..n_max: numeric mode in blocks of consecutive n
-    (_sequence_numeric), exact mode one n at a time.  Raises OverflowError at
-    the first c_n that is not finite in double precision (either mode), or
-    at the first n that lattice(n) refuses, with its message."""
+    """c_n for n = 1..n_max, in blocks of consecutive n (_blocks) in either
+    mode: a numeric block costs its largest count of points plus table
+    entries of one n (_block_numeric), an exact block its largest count of
+    points plus expanded (step, j) entries of one n (_walks).  Raises
+    OverflowError at the first c_n that is not finite in double precision
+    (either mode), or at the first n that lattice(n) refuses, with its
+    message."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if mode not in ("numeric", "exact"):
         raise ValueError(f"mode must be 'numeric' or 'exact', got {mode!r}")
-    values = (_sequence_numeric(t, n_max) if mode == "numeric"
-              else (_coeff_exact(t, n) for n in range(1, n_max + 1)))
+    block = _block_numeric if mode == "numeric" else _block_exact
     coeffs = []
-    for n, c in zip(range(1, n_max + 1), values):
+    for n, c in zip(range(1, n_max + 1), _blocks(t, n_max, block)):
         if not cmath.isfinite(c):
             raise OverflowError(f"c_{n} = {c} is not finite in double precision "
                                 f"({mode} mode)")

@@ -107,14 +107,16 @@ def _refusal(f, *args):
 
 
 def _refused(t, n):
-    """lattice(n) and the numeric coefficient, which reads the slice's rows
-    without lattice's expansion, both refuse n with one message; sequence
-    to n refuses at the first n0 <= n that lattice refuses, with lattice's
-    message, and check_conjecture notes it."""
+    """lattice(n) and the numeric and exact coefficients, which read the
+    slice's rows without lattice's expansion, all refuse n with one message;
+    sequence to n refuses in either mode at the first n0 <= n that lattice
+    refuses, with lattice's message, and check_conjecture notes it."""
     msg = _refusal(t.lattice, n)
     assert _refusal(series._coeff_numeric, t, n) == msg
+    assert _refusal(series._coeff_exact, t, n) == msg
     n0 = next(m for m in range(1, n + 1) if _refuses(t, m))
-    assert _refusal(sequence, t, n) == _refusal(t.lattice, n0)
+    for mode in ("numeric", "exact"):
+        assert _refusal(sequence, t, n, mode) == _refusal(t.lattice, n0), mode
     rep = check_conjecture(t, ConjectureConfig(n_max=n, cv_override=(1,)))
     assert rep.verdict == "inconclusive" and f"sequence: {_refusal(t.lattice, n0)}" in rep.notes
 
@@ -169,6 +171,18 @@ def test_sequence_refuses_inside_a_block_where_lattice_does(monkeypatch):
     blocks.clear()
     _refused(t, 60)
     # a block held n = 46 with n below it, and refused as a whole
+    assert any(len(ns) > 1 and ns[0] < 46 <= ns[-1] for ns in blocks)
+
+
+def test_exact_sequence_refuses_inside_a_block_where_lattice_does(monkeypatch):
+    base = four_one_special()
+    t = SpecialQTerm(1, base.Q, LinForm((0, 2 ** 50)), 1, base.quads)
+    blocks, walks = [], series._walks
+    monkeypatch.setattr(series, "_walks",
+                        lambda t, ns, ring: blocks.append(ns) or walks(t, ns, ring))
+    assert sequence(t, 45, "exact").coeffs == sequence(base, 45, "exact").coeffs   # eps = 1
+    blocks.clear()
+    _refused(t, 60)
     assert any(len(ns) > 1 and ns[0] < 46 <= ns[-1] for ns in blocks)
 
 

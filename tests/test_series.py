@@ -319,6 +319,7 @@ def _brute_force_points(t, n):
     return [kp for kp in product(range(3 * n + 4), repeat=t.r) if t.admissible((n,) + kp)]
 
 
+@lru_cache(maxsize=None)
 def _reference_polynomial(t, n):
     """a_n summed point by point from eval_special_exact, outside the walk."""
     acc = LaurentPoly.zero()
@@ -425,6 +426,28 @@ def test_numeric_sequence_is_the_reference_bit_for_bit(name, n_max, block, monke
     assert sequence(t, n_max, "numeric").coeffs == _reference_sequence(name, n_max)
 
 
+@lru_cache(maxsize=None)
+def _exact_reference(name, n_max):
+    """c_1..c_{n_max}: the folded pointwise reference polynomial of each n
+    at the root of unity (_eval_ring_mp), outside the walk; for 4_1 past
+    n = 18 (where the pointwise reference takes seconds per n), each n's
+    exact coefficient computed alone."""
+    t = CORPUS.get(name) or four_one_special()
+    return tuple(series._eval_ring_mp(_folded(_reference_polynomial(t, n), n), n) if n <= 18
+                 else series._coeff_exact(t, n) for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("block", [None, 1, 10 ** 5])
+@pytest.mark.parametrize("name, n_max", [(name, 18) for name in sorted(CORPUS)]
+                         + [("four_one", 200)])
+def test_exact_sequence_is_the_reference_bit_for_bit(name, n_max, block, monkeypatch):
+    # _BLOCK = 1 runs every n alone; 10**5 never caps the doubling of the blocks
+    if block is not None:
+        monkeypatch.setattr(series, "_BLOCK", block)
+    t = CORPUS.get(name) or four_one_special()
+    assert sequence(t, n_max, "exact").coeffs == _exact_reference(name, n_max)
+
+
 def test_argument_plan_covers_every_branch():
     # 4_1: of 10 arguments, 6 are zero forms and 2 (n and n - 1) constant in k'
     forms, slots, _ = four_one_special()._plan
@@ -506,7 +529,7 @@ def test_ring_walk_is_the_folded_polynomial(name):
     # these walks never divide, so ring=True runs in Z[q]/(q^n - 1)
     t = CORPUS.get(name) or four_one_special()
     for n in range(1, 41):
-        v, W, origin = series._walk(t, n, ring=True)
+        (v, W, origin), = series._walks(t, [n], True)[0]
         assert origin == 0 and 0 <= v < 2 ** (n * W), n     # a residue mod 2^(nW) - 1
         assert series._unpack(v, W, n, ring=True) == _folded(exact_polynomial(t, n), n), n
 
@@ -548,13 +571,14 @@ def test_exact_division_matches_laurent_arithmetic():
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["four_one"])
 def test_width_holds_every_true_coefficient(name, monkeypatch):
     t = CORPUS.get(name) or four_one_special()
-    width = series._width
+    widths = series._widths
     cases = []
     for n in range(0, 26):
         for ring in (False, True) if n else (False,):
-            cases.append((n, ring, series._walk(t, n, ring)[1]))
+            (_, W, _), = series._walks(t, [n], ring)[0]
+            cases.append((n, ring, W))
     # read the true coefficients back with 64 bits to spare
-    monkeypatch.setattr(series, "_width", lambda F: width(F) + 64)
+    monkeypatch.setattr(series, "_widths", lambda *args: [W + 64 for W in widths(*args)])
     for n, ring, W in cases:
         a = exact_polynomial(t, n)
         coeffs = _folded(a, n) if ring else [c for _, c in a.items()]
@@ -567,7 +591,7 @@ def _folded_vectors():
     for name, t, n_max in [(k, v, 25) for k, v in sorted(CORPUS.items())] + [
             ("four_one", four_one_special(), 200)]:
         for n in range(1, n_max + 1):
-            v, W, origin = series._walk(t, n, ring=True)
+            (v, W, origin), = series._walks(t, [n], True)[0]
             yield name, n, series._unpack(v << origin % n * W, W, n, ring=True)
 
 

@@ -12,9 +12,9 @@ factor list by quadruples (B, C, D, E) encoding
     qbinom(B(k), C(k)) * (q)_{D(k)} / (q)_{E(k)},
 
 which is a Laurent polynomial whenever B(k) >= C(k) >= 0 and
-D(k) >= E(k) >= 0.  Their admissible region scales to a rational polytope
-that must be nonempty and compact; this module validates and enumerates it
-exactly (Fourier-Motzkin over integer rows — no floating point anywhere here).
+D(k) >= E(k) >= 0.  Their admissible region with k' >= 0 scales to a rational
+polytope that must be nonempty and compact; this module checks and enumerates
+it exactly (Fourier-Motzkin over integer rows — no floating point anywhere).
 
 Affine constants are a deliberate extension: the scaling polytope and all
 downstream analytic objects see only the homogeneous parts (constants are
@@ -209,21 +209,22 @@ class SpecialQTerm:
         q^{Q(k)} eps^{L(k)} prod_j qbinom(B_j(k), C_j(k)) (q)_{D_j(k)} / (q)_{E_j(k)},
 
     admissible when B_j(k) >= C_j(k) >= 0 and D_j(k) >= E_j(k) >= 0 for all j.
-    Construction validates (exactly, over Q) that the scaling polytope
+    The sum over k = (n, k') takes k' in N^r, so the scaling polytope is
 
-        P = { w in R^r : all homogeneous inequalities hold at (1, w) }
+        P = { w in R^r : w >= 0, all homogeneous inequalities hold at (1, w) };
 
-    is nonempty and compact.  It also compiles the integer data once, as
-    int64 rows of coefficients over z = (u, x) with u = (n, 1, k'_0, ...,
-    k'_{r-2}) and x = k'_{r-1} the last coordinate (for r = 0, u = (n, 1)
-    and x is a coordinate fixed at 0, so that every term has one): each
-    quad's B, C, D, E, then L, then beta (_rows); the matrix H' with 2Q(k) =
-    u^T H' u + x * beta(z) (_quad); the exact lower and upper bound rows of
-    every coordinate k'_i, affine in n and the earlier coordinates
-    (_bound_rows), from which _slice_rows enumerates; and the plan of
-    the five factorial arguments B, C, B-C, D, E of every quad with the
-    rows of those that vary (_arg_plan), from which numeric coefficients
-    gather.
+    construction raises PolytopeError unless P is nonempty and compact
+    (decided exactly by _bound_rows).  It also compiles the integer data
+    once, as int64 rows of coefficients over z = (u, x) with u = (n, 1,
+    k'_0, ..., k'_{r-2}) and x = k'_{r-1} the last coordinate (for r = 0,
+    u = (n, 1) and x is a coordinate fixed at 0, so that every term has
+    one): each quad's B, C, D, E, then L, then beta (_rows); the matrix H'
+    with 2Q(k) = u^T H' u + x * beta(z) (_quad); the exact lower and upper
+    bound rows of every coordinate k'_i, affine in n and the earlier
+    coordinates (_bound_rows), from which _slice_rows enumerates; and the
+    plan of the five factorial arguments B, C, B-C, D, E of every quad with
+    the rows of those that vary (_arg_plan), from which numeric
+    coefficients gather.
     """
 
     r: int
@@ -241,7 +242,6 @@ class SpecialQTerm:
         object.__setattr__(self, "epsilon", _unit(self.epsilon, "epsilon"))
         forms = [f for quad in self.quads for f in quad]
         _check_shapes(self.r, self.Q, self.L, forms)
-        _validate_polytope(self)
         width = max(self.r, 1) + 2
 
         def z(coeffs, constant):
@@ -253,12 +253,13 @@ class SpecialQTerm:
         H = [z(m, c) for m, c in zip(self.Q.matrix, ql2)]
         H.insert(1, (0,) * width)
         H += [(0,) * width] * (width - len(H))
+        # the polytope's verdict comes before any int64 array is built
+        object.__setattr__(self, "_bounds", _bound_rows(self, rows + H))
         h = np.array(H, dtype=np.int64)
         # so 2Q = u^T H' u + x * beta(z), H' = h[:-1, :-1]: beta is affine in z
         beta = np.append(h[:-1, -1] + h[-1, :-1], h[-1, -1])
         object.__setattr__(self, "_rows", np.vstack((np.array(rows, dtype=np.int64), beta)))
         object.__setattr__(self, "_quad", h[:-1, :-1].copy())
-        object.__setattr__(self, "_bounds", _bound_rows(self, rows + H))
         object.__setattr__(self, "_plan", _arg_plan(self))
 
     @property
@@ -451,10 +452,10 @@ def eval_special_exact(t: SpecialQTerm, k) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# polytope validation and lattice enumeration (exact Fourier-Motzkin)
+# the scaling polytope and lattice enumeration (exact Fourier-Motzkin)
 
 def _fm_eliminate(ineqs, j):
-    # ineqs are (coeffs tuple, const), ints or Fractions, meaning coeffs.w + const >= 0
+    # ineqs are (coeffs tuple, const) in ints, meaning coeffs.w + const >= 0
     pos, neg, rest = [], [], []
     for c, d in ineqs:
         if c[j] > 0:
@@ -472,41 +473,6 @@ def _fm_eliminate(ineqs, j):
     return out
 
 
-def _fm_feasible(ineqs, nvars):
-    sys_ = ineqs
-    for j in range(nvars):
-        sys_ = _fm_eliminate(sys_, j)
-    return all(d >= 0 for _, d in sys_)
-
-
-def _validate_polytope(t: SpecialQTerm):
-    """Raise PolytopeError unless the scaling polytope is nonempty and compact.
-
-    The polytope lives in w-space (w = k'/n, r coordinates); a form with
-    coefficient vector (v_0, ..., v_r) restricts to v_0 + sum_{i>=1} v_i w_i.
-    """
-    r = t.r
-    ineqs = []
-    for f in t.inequality_forms():
-        coeffs = tuple(f.coeffs[1:])
-        const = f.coeffs[0]
-        if all(c == 0 for c in coeffs) and const == 0:
-            continue
-        ineqs.append((coeffs, Fraction(const)))
-        if all(c == 0 for c in coeffs) and const < 0:
-            raise PolytopeError(f"inequality {const} >= 0 can never hold; polytope empty")
-    if not _fm_feasible(list(ineqs), r):
-        raise PolytopeError("scaling polytope is empty")
-    # compactness <=> trivial recession cone {coeffs.w >= 0}
-    cone = [(c, Fraction(0)) for c, _ in ineqs if any(x != 0 for x in c)]
-    for i in range(r):
-        for s in (1, -1):
-            ray = cone + [(tuple(s if j == i else 0 for j in range(r)), Fraction(-1))]
-            if _fm_feasible(ray, r):
-                raise PolytopeError(f"scaling polytope unbounded in coordinate {i} "
-                                    f"(direction {'+' if s > 0 else '-'})")
-
-
 def _bound_rows(t, rows):
     """(top, levels, m) for lattice(n), by Fourier-Motzkin elimination of
     k'_{r-1}, ..., k'_0 from the admissibility rows and k' >= 0, with n kept
@@ -519,14 +485,28 @@ def _bound_rows(t, rows):
     floor(R . (...) / d).  top holds the rows (a, d) left with n alone,
     a*n + d >= 0, which all hold exactly when the n-th slice is nonempty.
     m is the largest |entry| of rows (the term's forms, L and H) and of
-    levels."""
+    levels.
+
+    The same elimination decides the scaling polytope (see SpecialQTerm),
+    each level being the exact projection of the one before: PolytopeError
+    when a row of top has a < 0 (P is empty) or when some level i has no
+    row with c < 0 ((0, ..., 0, 1) then lies in the projection of P's
+    recession cone onto k'_0..k'_i and extends to a ray; else the cone is 0)."""
     r = t.r
     sys_ = [(f.coeffs, f.constant) for f in t.inequality_forms()]
+    for c, _ in sys_:
+        if c[0] < 0 and not any(c[1:]):
+            raise PolytopeError(f"inequality {c[0]} >= 0 can never hold; polytope empty")
     sys_ += [(tuple(int(j == i) for j in range(r + 1)), 0) for i in range(1, r + 1)]
     levels = []
     for i in range(r, 0, -1):
         levels.insert(0, [(c[0], d) + c[1:i] + (c[i],) for c, d in sys_ if c[i]])
         sys_ = _fm_eliminate(sys_, i)
+    if any(c[0] < 0 for c, _ in sys_):
+        raise PolytopeError("scaling polytope is empty")
+    for i, level in enumerate(levels):
+        if all(row[-1] > 0 for row in level):
+            raise PolytopeError(f"scaling polytope unbounded in coordinate {i} (direction +)")
     m = max(abs(x) for row in rows + sum(levels, []) for x in row)
     if m >= 2 ** 63:      # rows past int64: the term stays usable, lattice(n) refuses
         return (), (), m

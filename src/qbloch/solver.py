@@ -265,6 +265,7 @@ def _solve(J, rhs):
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")     # such rows end up dropped
 def _newton(t, U, tol, le):
     """Run every start (row of U) through Newton, all live rows in one numpy
     pass per step.  Returns (ends, out): ends masks the starts that end on
@@ -336,6 +337,7 @@ def _same_point(U, u):
     return (d.real ** 2 + im ** 2 <= _DEDUP_TOL ** 2).all(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # such rows are not accepted
 def _finish(t, U, cfg, le):
     """The points among the wrapped iterates U (rows, in start order).  One
     _system and _reduce cover all rows; then an accept loop in start order

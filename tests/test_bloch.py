@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qbloch import bloch
 from qbloch.bloch import (CVSet, beta, beta_hat, bw_of_element, _certify_mp,
                           certify_diagram, certify_nu_hat, cv_set, potential,
                           rogers_of_element)
+from qbloch.dilog import ModZ2Value
 from qbloch.errors import DomainError, NotOnVarietyError
 from qbloch.io import parse_qterm_obj
 from qbloch.qterm import LinForm
@@ -104,6 +106,31 @@ def test_certify_diagram_requires_critical_point(t41):
 def test_high_precision_escalation_path(t41):
     for cp in _points(t41):
         assert _certify_mp(t41, cp) < 1e-25
+
+
+def _spoil_float_rogers(monkeypatch):
+    """Shift the float route's R by 1e-3, so its defect is ~1e-4 > 1e-9."""
+    rogers = bloch.rogers_of_element
+    monkeypatch.setattr(bloch, "rogers_of_element", lambda e: ModZ2Value(rogers(e).rep + 1e-3))
+
+
+def test_unresolved_float_defect_escalates_to_mpmath(t41, monkeypatch):
+    _spoil_float_rogers(monkeypatch)
+    for cp in _points(t41):
+        assert certify_diagram(t41, cp) == _certify_mp(t41, cp) < 1e-25
+
+
+def test_failed_escalation_keeps_the_float_defect(t41, monkeypatch):
+    _spoil_float_rogers(monkeypatch)
+
+    def fail(t, cp):
+        raise ArithmeticError("no convergence")
+    monkeypatch.setattr(bloch, "_certify_mp", fail)
+    for cp in _points(t41):
+        R = bloch.rogers_of_element(beta_hat(t41, cp)).rep
+        want = abs(cmath.exp(-potential(t41, cp.u, cp.eps_branch).rep)
+                   - cmath.exp(R / (2j * math.pi)))
+        assert certify_diagram(t41, cp) == want > 1e-9
 
 
 def test_diagram_certificate_on_battery(battery_solved):

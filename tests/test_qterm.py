@@ -1,9 +1,11 @@
+import collections
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qbloch import series
+from qbloch import qterm, series
 from qbloch.errors import PolytopeError
 from qbloch.laurent import LaurentPoly
 from qbloch.qterm import (LinForm, QTerm, QuadForm, SpecialQTerm,
@@ -191,6 +193,114 @@ def test_unbounded_polytope_rejected():
     with pytest.raises(PolytopeError):
         SpecialQTerm(1, QuadForm(((0, 0), (0, 0)), (Fraction(0), Fraction(0))),
                      z, 1, ((z, z, LinForm((0, 1), 0), z),))
+
+
+def _special(r, *quads):
+    z = (0,) * (r + 1)
+    return SpecialQTerm(r, QuadForm((z,) * (r + 1), z), LinForm(z), 1, quads)
+
+
+def _verdict(r, quads):
+    """The PolytopeError message of the special term, None when it constructs."""
+    try:
+        _special(r, *quads)
+    except PolytopeError as e:
+        return str(e)
+    return None
+
+
+def test_polytope_verdicts_carry_their_messages():
+    z, z2 = LinForm((0, 0)), LinForm((0, 0, 0))
+    assert (_verdict(1, [(z, LinForm((-1, 0), 5), z, z)])       # C = 5 - n
+            == "inequality -1 >= 0 can never hold; polytope empty")
+    assert (_verdict(1, [(z, z, LinForm((1, -1)), z), (z, z, LinForm((-2, 1)), z)])
+            == "scaling polytope is empty")                       # 2n <= k <= n
+    assert (_verdict(2, [(z2, z2, LinForm((1, -1, 0)), z2)])      # k_0 <= n, k_1 free
+            == "scaling polytope unbounded in coordinate 1 (direction +)")
+    assert _verdict(2, [(LinForm((1, 0, 0)), LinForm((0, 1, 1)), z2, z2)]) is None
+
+
+def test_the_polytope_is_taken_in_the_nonnegative_orthant():
+    z = LinForm((0, 0))
+    # {w : 2 + w >= 0, -1 - w >= 0} = [-2, -1] misses w >= 0: no k' in N
+    # is admissible for any n >= 1, so the term is rejected
+    empty = [(z, z, LinForm((1, 0)), LinForm((-1, -1)))]
+    assert _verdict(1, empty) == "scaling polytope is empty"
+    # {w <= 1} is unbounded below but meets w >= 0 in [0, 1]: k = 0..n
+    t = _special(1, (z, z, LinForm((1, -1)), z))
+    assert [newton_polytope_points(t, n) for n in range(4)] == [
+        [(k,) for k in range(n + 1)] for n in range(4)]
+    np.testing.assert_allclose(np.abs(sequence(t, 6).coeffs),
+                               [1, 3, 5.5678, 8.5440, 11.8383, 15.3948], atol=5e-5)
+
+
+def _fm_feasible_reference(ineqs, r):
+    """Feasibility of {w in R^r : c.w + d >= 0 for every (c, d)}, by
+    eliminating w_0, ..., w_{r-1} over the rationals."""
+    for j in range(r):
+        pos = [(c, d) for c, d in ineqs if c[j] > 0]
+        neg = [(c, d) for c, d in ineqs if c[j] < 0]
+        ineqs = [(c, d) for c, d in ineqs if c[j] == 0] + [
+            (tuple(Fraction(x, cp[j]) - Fraction(y, cn[j]) for x, y in zip(cp, cn)),
+             dp / cp[j] - dn / cn[j]) for cp, dp in pos for cn, dn in neg]
+    return all(d >= 0 for _, d in ineqs)
+
+
+def _verdict_reference(r, quads):
+    """The verdict of a feasibility test plus one ray test per coordinate
+    and direction (is {c.w >= 0, +-w_i >= 1} feasible?) on the scaling
+    polytope {w >= 0 : homogeneous inequalities at (1, w)}."""
+    ineqs = []
+    for B, C, D, E in quads:
+        for f in (B - C, C, D - E, E):
+            c, d = f.coeffs[1:], Fraction(f.coeffs[0])
+            if not any(c):
+                if d < 0:
+                    return f"inequality {d} >= 0 can never hold; polytope empty"
+                continue
+            ineqs.append((c, d))
+    ineqs += [(tuple(int(j == i) for j in range(r)), Fraction(0)) for i in range(r)]
+    if not _fm_feasible_reference(ineqs, r):
+        return "scaling polytope is empty"
+    cone = [(c, Fraction(0)) for c, _ in ineqs]
+    for i in range(r):
+        for s, name in ((1, "+"), (-1, "-")):
+            ray = (tuple(s * int(j == i) for j in range(r)), Fraction(-1))
+            if _fm_feasible_reference(cone + [ray], r):
+                return f"scaling polytope unbounded in coordinate {i} (direction {name})"
+    return None
+
+
+def test_polytope_verdicts_match_feasibility_and_ray_tests():
+    rng = random.Random(27)
+    seen = collections.Counter()
+    for _ in range(500):
+        r = rng.randint(0, 3)
+        quads = [tuple(LinForm(tuple(rng.randint(-2, 2) for _ in range(r + 1)),
+                               rng.randint(-2, 2)) for _ in range(4))
+                 for _ in range(rng.randint(1, 2))]
+        want = _verdict_reference(r, quads)
+        assert _verdict(r, quads) == want, (r, quads)
+        seen[want and next(w for w in ("never", "empty", "unbounded") if w in want)] += 1
+    # every verdict occurs: accepted, never holds, empty and unbounded
+    assert set(seen) == {None, "never", "empty", "unbounded"}, seen
+    assert min(seen.values()) >= 10, seen
+
+
+def test_construction_eliminates_each_coordinate_once(monkeypatch):
+    calls = []
+    eliminate = qterm._fm_eliminate
+    monkeypatch.setattr(qterm, "_fm_eliminate",
+                        lambda ineqs, j: calls.append(j) or eliminate(ineqs, j))
+    for r in range(5):
+        z = LinForm((0,) * (r + 1))
+        calls.clear()       # k'_i <= n for every i
+        _special(r, *[(z, z, LinForm((1,) + tuple(-int(j == i) for j in range(r))), z)
+                      for i in range(r)])
+        assert calls == list(range(r, 0, -1))
+    calls.clear()
+    four_one_special()
+    assert calls == [1]
 
 
 def test_one_variable_family_encoding():

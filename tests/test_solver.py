@@ -197,6 +197,25 @@ def test_finish_empty_stack(t41):
     assert _finish(t41, np.empty((0, 1), dtype=complex), SolverConfig(), 0j) == []
 
 
+def test_finish_keeps_only_rows_below_the_residual_gate(t41):
+    cfg, le = SolverConfig(), log_eps(t41.epsilon)
+    exact = solve_variational(t41)[0]
+    u = np.array([exact.u])
+    near = u + 1e-7     # a duplicate of u whose residual is far above newton_tol
+    assert [cp.u for cp in _finish(t41, np.vstack((near, u)), cfg, le)] == [exact.u]
+    assert _finish(t41, near, cfg, le) == []
+
+
+def test_rows_that_overflow_are_dropped_without_a_warning():
+    # (q)_{300k}: e^{300 u} overflows once Re u > 2.37, so some Newton rows
+    # turn non-finite; they are dropped, and numpy must not warn on them
+    t = QTerm(0, QuadForm(((1,),), (Fraction(1, 2),)), LinForm((0,)), 1,
+              ((LinForm((300,)), 1),))
+    pts = solve_variational(t)
+    assert len(pts) == 50
+    assert all(cp.residual_log < 1e-10 and cp.residual_mult < 1e-10 for cp in pts)
+
+
 def _decoration_reference(t, u):
     """The decoration of the point u, one scalar at a time: the branch
     integer p of every factor and of L (sum_i v_i(A) u_i = Log(z^A) + p*pi*i),

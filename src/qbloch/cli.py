@@ -34,7 +34,7 @@ import sys
 
 from .bloch import beta_hat, bw_of_element, certify_diagram, certify_nu_hat, cv_set, rogers_of_element
 from .errors import ConfigError
-from .io import load_cv_file, parse_qterm, write_csv_atomic, write_json_atomic
+from .io import _dump_json, load_cv_file, parse_qterm, write_csv_atomic, write_json_atomic
 from .qterm import SpecialQTerm
 from .series import (_PADE_DEN, _PADE_N, _PADE_NUM, ConjectureConfig,
                      check_conjecture, growth_rate, pade_poles, sequence)
@@ -165,7 +165,7 @@ def _emit(ns, kind, payload):
             w.writerow(_SEQ_HEADER)
             w.writerows(payload)
         else:
-            json.dump(payload, sys.stdout, indent=1, sort_keys=True)
+            _dump_json(payload, sys.stdout.write)
             sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

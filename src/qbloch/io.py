@@ -1,6 +1,14 @@
 """Schema-validated term file parsing, canonical serialization, and output
 emission (JSON / CSV) with atomic writes.
 
+Every JSON artifact, in a file or on stdout, is the text of
+json.dump(obj, f, indent=1, sort_keys=True) and a newline; _dump_json is
+its one writer.  With an indent set, the standard library's encoder runs in
+pure Python and hands each of its tokens to write() alone; _dump_json
+builds the same text from the C string and number formatters, a list of
+scalars at a time, and writes it in chunks of a few thousand pieces, so the
+whole document is never held as one string.
+
 A term file is a JSON object; the presence of a "quads" key selects the
 special-term schema (whose "factors" list must then be empty — the factor
 structure of a special term is derived from its quadruples, never stored).
@@ -18,6 +26,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import PolytopeError, SchemaError
 from .qterm import LinForm, QTerm, QuadForm, SpecialQTerm
@@ -227,9 +236,147 @@ def _write_atomic(path, write, newline=None):
         raise
 
 
+_INF = float("inf")
+_FLUSH = 4096       # pieces gathered before they go to write() as one chunk
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar by its exact type; subclasses take json's isinstance tests
+_SCALAR = {str: _string, float: _float, int: int.__repr__,
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _key(k):
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return _SCALAR[type(k)](k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _dump_json(obj, write):
+    """write() the text of json.dump(obj, f, indent=1, sort_keys=True), and
+    raise the exception types json.dump raises.  The pieces of the text
+    gather in a list that goes to write() joined, every _FLUSH pieces and at
+    the end, so memory stays bounded.  A list of scalars is one piece, its
+    floats formatted by one map(float.__repr__) unless one is not finite."""
+    out = []
+    append = out.append
+    markers = {}        # id of each open container, as json's cycle check
+
+    def value(o, nl):   # nl: a newline and the indent of the line o starts on
+        if isinstance(o, str):
+            append(_string(o))
+        elif o is None or o is True or o is False:
+            append(_SCALAR[type(o)](o))
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_float(o))
+        elif isinstance(o, (list, tuple)):
+            array(o, nl)
+        elif isinstance(o, dict):
+            mapping(o, nl)
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def array(lst, nl):
+        if not lst:
+            append("[]")
+            return
+        inner = nl + " "
+        sep = "," + inner
+        t = type(lst[0])
+        if t is float:
+            try:
+                body = sep.join(map(float.__repr__, lst))
+            except TypeError:   # not all floats
+                body = "n"
+            if "n" not in body:     # "nan" and "inf" are JSON's NaN and Infinity
+                append("[" + inner + body + nl + "]")
+                return
+        if t in _SCALAR:
+            try:
+                texts = [_SCALAR[type(x)](x) for x in lst]
+            except KeyError:    # a container or a subclass
+                pass
+            else:
+                append("[" + inner + sep.join(texts) + nl + "]")
+                return
+        mark = id(lst)
+        if mark in markers:
+            raise ValueError("Circular reference detected")
+        markers[mark] = lst
+        head = "[" + inner
+        for x in lst:
+            append(head)
+            head = sep
+            t = type(x)         # the common containers skip value()'s tests
+            if t is list:
+                array(x, inner)
+            elif t is dict:
+                mapping(x, inner)
+            else:
+                value(x, inner)
+            if len(out) >= _FLUSH:
+                write("".join(out))
+                out.clear()
+        append(nl + "]")
+        del markers[mark]
+
+    def mapping(d, nl):
+        if not d:
+            append("{}")
+            return
+        mark = id(d)
+        if mark in markers:
+            raise ValueError("Circular reference detected")
+        markers[mark] = d
+        inner = nl + " "
+        sep = "," + inner
+        head = "{" + inner
+        for k, v in sorted(d.items()):
+            if type(k) is not str:
+                k = _key(k)
+            scalar = _SCALAR.get(type(v))
+            if scalar is not None:
+                append(head + _string(k) + ": " + scalar(v))
+            else:
+                append(head + _string(k) + ": ")
+                t = type(v)
+                if t is list:
+                    array(v, inner)
+                elif t is dict:
+                    mapping(v, inner)
+                else:
+                    value(v, inner)
+            head = sep
+            if len(out) >= _FLUSH:
+                write("".join(out))
+                out.clear()
+        append(nl + "}")
+        del markers[mark]
+
+    value(obj, "\n")
+    write("".join(out))
+
+
 def write_json_atomic(path, obj):
     def write(f):
-        json.dump(obj, f, indent=1, sort_keys=True)
+        _dump_json(obj, f.write)
         f.write("\n")
     _write_atomic(path, write)
 

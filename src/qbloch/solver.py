@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_RE_MAX = 6.0   # iterate guard; keeps every partial product in var_residual finite
+_RE_MAX = 6.0   # iterate guard on |Re u|; with large coefficients var_residual can still overflow (inf)
 _UNIT_TOL = 1e-12
 _MAX_ITER = 80      # Newton steps per start
 _DEDUP_TOL = 1e-6   # two points closer than this (mod 2*pi*i) are one solution
@@ -131,7 +131,8 @@ def var_residual(t: QTerm, z) -> float:
 
     Multiplicative variational residual; Q_i are the homogeneous matrix rows.
     Raises DomainError if some z_i or z^{A_j} lies in {0, 1} (within 1e-12).
-    Overflow on wild inputs yields inf, which still reads "far from solving".
+    Overflow on wild inputs yields inf, which still reads "far from solving";
+    so does a NaN from inf * 0.
     """
     z = [complex(x) for x in z]
     n = t.nvars
@@ -140,22 +141,34 @@ def var_residual(t: QTerm, z) -> float:
     for i, x in enumerate(z):
         if abs(x) < _UNIT_TOL or abs(x - 1.0) < _UNIT_TOL:
             raise DomainError(f"z[{i}] = {x} hits {{0,1}}")
-    pw = []
+    pw, overflow = [], False
     for a, _ in t.factors:
-        w = _zpow(a.coeffs, z)
+        try:
+            w = _zpow(a.coeffs, z)
+        except OverflowError:       # complex ** raises where float * gives inf
+            overflow = True         # |z^A| is past the double range, not near {0, 1}
+            continue
         if abs(w) < _UNIT_TOL or abs(w - 1.0) < _UNIT_TOL:
             raise DomainError(f"z^A = {w} hits {{0,1}} for factor {a}")
         pw.append(w)
+    if overflow:
+        return math.inf
     worst = 0.0
     for i in range(n):
-        acc = _zpow(t.Q.matrix[i], z)
-        if t.epsilon == -1 and t.L.coeffs[i] % 2 != 0:
-            acc = -acc
-        for (a, s), w in zip(t.factors, pw):
-            e = s * a.coeffs[i]
-            if e:
-                acc *= (1.0 - w) ** e
-        worst = max(worst, abs(acc - 1.0))
+        try:
+            acc = _zpow(t.Q.matrix[i], z)
+            if t.epsilon == -1 and t.L.coeffs[i] % 2 != 0:
+                acc = -acc
+            for (a, s), w in zip(t.factors, pw):
+                e = s * a.coeffs[i]
+                if e:
+                    acc *= (1.0 - w) ** e
+        except OverflowError:
+            return math.inf
+        d = abs(acc - 1.0)
+        if d != d:
+            return math.inf
+        worst = max(worst, d)
     return worst
 
 
@@ -342,10 +355,10 @@ def _finish(t, U, cfg, le):
     """The points among the wrapped iterates U (rows, in start order).  One
     _system and _reduce cover all rows; then an accept loop in start order
     keeps a row only if no factor value hits {0, 1}, its residual is below
-    newton_tol, var_residual does not raise DomainError, and no earlier
-    accepted point is its duplicate.  One batch then decorates the accepted
-    rows only: condition numbers, branch integers and the eps-branch, so
-    only accepted rows can raise BranchParityError."""
+    newton_tol, var_residual neither raises DomainError nor reads inf, and
+    no earlier accepted point is its duplicate.  One batch then decorates
+    the accepted rows only: condition numbers, branch integers and the
+    eps-branch, so only accepted rows can raise BranchParityError."""
     ok, V, W, D = _system(t, U, le)
     U = U[ok]                       # V, W and D hold these rows only
     H, M = _reduce(V)
@@ -360,9 +373,12 @@ def _finish(t, U, cfg, le):
         u = U[k].tolist()
         z = [cmath.exp(x) for x in u]
         try:
-            kept.append((u, z, res_log, var_residual(t, z)))
+            res_mult = var_residual(t, z)
         except DomainError:
             continue
+        if not math.isfinite(res_mult):
+            continue
+        kept.append((u, z, res_log, res_mult))
         acc.append(k)
         new &= ~_same_point(U, U[k])
     U, W, D, M = U[acc], W[acc], D[acc], M[acc]

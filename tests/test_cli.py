@@ -259,18 +259,33 @@ def test_python_dash_m_runs_the_cli():
     assert tuple(rows[0]) == cli._SEQ_HEADER and len(rows) == 6
 
 
-def test_seq_into_a_closed_pipe_exits_0_quietly():
-    # 2000 rows of CSV outgrow a 64 KiB pipe, so the writer is still
-    # writing when the reader leaves after one line
+def _seq_into_a_pipe_closed_after_one_line(*flags):
+    """(first line, exit code, stderr) of `qbloch seq SPECIAL --n-max 2000`
+    whose reader leaves after one line."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.Popen([sys.executable, "-m", "qbloch", "seq", SPECIAL, "--n-max", "2000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"n,re,im,log_abs,running_growth\r\n"
+    proc = subprocess.Popen([sys.executable, "-m", "qbloch", "seq", SPECIAL, "--n-max", "2000",
+                             *flags], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    line = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0 and err == b""
+    return line, proc.returncode, err
+
+
+def test_seq_into_a_closed_pipe_exits_0_quietly():
+    # 2000 rows of CSV outgrow a 64 KiB pipe, so the writer is still
+    # writing when the reader leaves after one line
+    line, code, err = _seq_into_a_pipe_closed_after_one_line()
+    assert line == b"n,re,im,log_abs,running_growth\r\n"
+    assert code == 0 and err == b""
+
+
+def test_seq_json_into_a_closed_pipe_exits_0_quietly():
+    # 125 kB of JSON: the chunked writer is still writing when the reader leaves
+    line, code, err = _seq_into_a_pipe_closed_after_one_line("--format", "json")
+    assert line == b"{\n"
+    assert code == 0 and err == b""
 
 
 def test_check_and_solve_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qbloch.errors import PolytopeError, SchemaError
-from qbloch.io import (load_cv_file, parse_qterm, parse_qterm_obj,
+from qbloch.io import (_dump_json, load_cv_file, parse_qterm, parse_qterm_obj,
                        serialize_qterm, write_csv_atomic, write_json_atomic)
 from qbloch.qterm import SpecialQTerm, one_variable_family
 
@@ -206,3 +209,97 @@ def test_load_cv_file_rejects_a_zero_value(tmp_path, text, pointer):
     with pytest.raises(SchemaError) as ei:
         load_cv_file(str(p))
     assert ei.value.violations[0].startswith(pointer + ": ")
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the JSON text"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the JSON text"
+
+
+class _Str(str):
+    pass
+
+
+def _text(obj):
+    chunks = []
+    _dump_json(obj, chunks.append)
+    return "".join(chunks)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    _FLOATS, _FLOATS.map(np.float64), _FLOATS.map(_Float), st.integers().map(_Int),
+    st.text(), st.text().map(_Str),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600",
+                     'a "quoted" \\ back\nslash']))
+# one key type per object: json sorts the keys, and mixed types do not compare
+_KEYS = (st.text(), st.text().map(_Str), st.integers(), _FLOATS, st.booleans(), st.none(),
+         st.one_of(st.integers().map(_Int), st.floats(), st.booleans()))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.lists(st.one_of(_FLOATS, _FLOATS.map(np.float64))),
+        *(st.dictionaries(keys, children) for keys in _KEYS))
+
+
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+def test_encoder_writes_the_text_of_json_dump(obj):
+    assert _text(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+def _cycle():
+    a = [1.0]
+    a.append(a)
+    return a
+
+
+def _dict_cycle():
+    d = {"a": 1}
+    d["b"] = [d]
+    return d
+
+
+def _raised(f):
+    try:
+        f()
+    except Exception as exc:        # noqa: BLE001 -- the type is the result
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: {1, 2}, lambda: b"x", lambda: 1j, lambda: np.int64(3), lambda: [0.5, np.int64(3)],
+    lambda: {"a": 1, 2: 3}, lambda: {(1, 2): 3}, lambda: {"a": [1, {"b": {1, 2}}]},
+    _cycle, _dict_cycle,
+], ids=["set", "bytes", "complex", "numpy-int64", "numpy-int64-in-list", "mixed-keys",
+        "tuple-key", "nested-set", "cyclic-list", "cyclic-dict"])
+def test_encoder_raises_the_type_json_raises(make):
+    want = _raised(lambda: json.dumps(make(), indent=1, sort_keys=True))
+    assert want is not None
+    assert _raised(lambda: _text(make())) is want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: {"terms": [{"k": i, "z": [i / 7, -1.0], "ok": i % 2 == 0} for i in range(10 ** 5)]},
+    lambda: {f"key{i}": i / 3 for i in range(10 ** 5)},
+    lambda: [[i, -i] for i in range(10 ** 5)],
+], ids=["list-of-objects", "wide-object", "list-of-lists"])
+def test_encoder_streams_in_bounded_chunks(make):
+    # a chunk joins a few thousand pieces, each under 64 characters here
+    obj = make()
+    chunks = []
+    _dump_json(obj, chunks.append)
+    assert len(chunks) > 1
+    assert max(len(c) for c in chunks) < 2 ** 18
+    assert "".join(chunks) == json.dumps(obj, indent=1, sort_keys=True)

@@ -216,6 +216,16 @@ def test_rows_that_overflow_are_dropped_without_a_warning():
     assert all(cp.residual_log < 1e-10 and cp.residual_mult < 1e-10 for cp in pts)
 
 
+def test_residual_overflow_reads_inf_and_its_row_is_dropped():
+    # z^{-962} overflows a complex power for |z| < 0.48; var_residual reads
+    # inf there instead of raising, and solve keeps no row whose residual does
+    t = QTerm(0, QuadForm(((-732,),), (Fraction(0),)), LinForm((37,)), -1,
+              ((LinForm((-962,)), -1), (LinForm((-826,)), 1), (LinForm((-814,)), 1)))
+    assert var_residual(t, (0.1,)) == math.inf
+    pts = solve_variational(t)
+    assert pts and all(math.isfinite(cp.residual_mult) for cp in pts)
+
+
 def _decoration_reference(t, u):
     """The decoration of the point u, one scalar at a time: the branch
     integer p of every factor and of L (sum_i v_i(A) u_i = Log(z^A) + p*pi*i),
